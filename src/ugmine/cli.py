@@ -63,8 +63,6 @@ def _add_mining_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap-epsilon", type=float, default=None, help="score cap 1/eps; 0 disables")
     p.add_argument("--max-edges", type=int, default=None)
     p.add_argument("--no-prune", action="store_true", help="disable all subtree pruning")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arg(p)
     _add_mining_args(p)
     p.add_argument("--repeats", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -123,8 +122,12 @@ def _load_dataset(path: str) -> Dataset:
 def _mining_config(args: argparse.Namespace) -> MiningConfig:
     if args.phi is not None and args.measure != PHI_PROBABILITY:
         raise UsageError("--phi only applies to the phi-pr measure")
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
+    if args.top < 1:
+        raise UsageError("--top must be >= 1")
+    if not 0.0 <= args.min_sup <= 1.0:
+        raise UsageError("--min-sup must lie in [0, 1]")
+    if args.max_edges is not None and args.max_edges < 1:
+        raise UsageError("--max-edges must be >= 1")
     phi = None
     if args.measure == PHI_PROBABILITY:
         phi = args.phi if args.phi is not None else PHI_DEFAULTS[args.score]
@@ -272,14 +275,25 @@ def _run_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_features(path: str) -> list[Subgraph]:
+    if not os.path.isfile(path):
+        raise UsageError(f"features file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    raw = obj.get("features") if isinstance(obj, dict) else obj
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: features must be a list")
+    try:
+        return [Subgraph.from_edges([(u, v) for u, v in item["edges"]]) for item in raw]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{path}: each feature needs an \"edges\" list of [u, v] pairs ({exc!r})"
+        ) from exc
+
+
 def _run_featurize(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.input)
-    if not os.path.isfile(args.features):
-        raise UsageError(f"features file not found: {args.features}")
-    with open(args.features, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    raw = obj["features"] if isinstance(obj, dict) else obj
-    features = [Subgraph.from_edges([(u, v) for u, v in item["edges"]]) for item in raw]
+    features = _load_features(args.features)
     if not features:
         raise UsageError("features file holds no features")
     matrix = featurize(dataset, features)

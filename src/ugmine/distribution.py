@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Dataset, Subgraph, UncertainGraph, containment_probability
-from .scores import ScoreFunction, eval_score
+from .scores import ScoreFunction, score_grid
 
 EXPECTATION = "exp"
 MEDIAN = "median"
@@ -55,35 +55,50 @@ class MeasureSpec:
             raise ValueError(f"phi threshold only applies to phi-probability, not {self.kind!r}")
 
 
-def poisson_binomial(probs: Sequence[float], counter: MultiplyAddCounter | None = None) -> np.ndarray:
-    """Distribution of the number of successes among independent Bernoulli trials.
+def _batched_support(probs: np.ndarray, counter: MultiplyAddCounter | None = None) -> np.ndarray:
+    """Support DP for a batch of features: the single Poisson-binomial kernel.
 
-    Entry i of the result is Pr[exactly i successes]. Computed by the textbook
-    convolution recurrence
+    ``probs`` holds one row of per-graph containment probabilities per
+    feature; row i of the result is the law of feature i's support count,
+    entry s being Pr[exactly s successes]. Graph j is folded into every row at
+    once by the convolution recurrence
 
-        new[i] = (1 - p) * old[i] + p * old[i - 1]
+        new[s] = (1 - p) * old[s] + p * old[s - 1]
 
-    iterated over trials, which costs exactly m(m+1) multiply-adds for m
-    trials when the two boundary cells are updated with their single
-    surviving term.
+    over the j + 2 cells that can be nonzero, the bottom and top cells taking
+    their single surviving term: 2(j + 1) multiply-adds per row, m(m+1) for m
+    graphs. The table is kept graph-major, (m+1) x k, so every step works in
+    place on contiguous rows of length k.
     """
-    dist = [1.0]
+    k, m = probs.shape
+    dist = np.zeros((m + 1, k))
+    dist[0] = 1.0
+    scratch = np.empty((m, k))
     ops = 0
-    for p in probs:
+    for j in range(m):
+        p = np.ascontiguousarray(probs[:, j])
         q = 1.0 - p
-        k = len(dist)
-        new = [0.0] * (k + 1)
-        new[0] = dist[0] * q
-        ops += 1
-        for i in range(1, k):
-            new[i] = dist[i] * q + dist[i - 1] * p
-            ops += 2
-        new[k] = dist[k - 1] * p
-        ops += 1
-        dist = new
+        np.multiply(dist[j], p, out=dist[j + 1])
+        shifted = np.multiply(dist[:j], p, out=scratch[:j])
+        mid = dist[1 : j + 1]
+        mid *= q
+        mid += shifted
+        dist[0] *= q
+        ops += dist[j + 1].size + shifted.size + mid.size + dist[0].size
     if counter is not None:
         counter.count += ops
-    return np.asarray(dist)
+    return np.ascontiguousarray(dist.T)
+
+
+def poisson_binomial(
+    probs: Sequence[float], counter: MultiplyAddCounter | None = None
+) -> np.ndarray:
+    """Distribution of the number of successes among independent Bernoulli trials.
+
+    Entry i of the result is Pr[exactly i successes]; m trials cost exactly
+    m(m+1) multiply-adds.
+    """
+    return _batched_support(np.asarray(probs, dtype=float).reshape(1, -1), counter)[0]
 
 
 def support_distribution(
@@ -146,19 +161,6 @@ def distribution_from_pairs(pairs: Iterable[tuple[float, float]]) -> ScoreDistri
     return ScoreDistribution(atoms)
 
 
-def score_distribution(joint: np.ndarray, spec: ScoreFunction) -> ScoreDistribution:
-    """Distribution of the score induced by a joint support-pair law."""
-    n_pos = joint.shape[0] - 1
-    n_neg = joint.shape[1] - 1
-    pairs = []
-    for a in range(n_pos + 1):
-        for b in range(n_neg + 1):
-            p = float(joint[a, b])
-            if p != 0.0:
-                pairs.append((eval_score(spec, a, b, n_pos, n_neg), p))
-    return distribution_from_pairs(pairs)
-
-
 def exp_of_pairs(pairs: Iterable[tuple[float, float]]) -> float:
     """Expectation over raw (score, probability) pairs.
 
@@ -176,19 +178,6 @@ def exp_of_pairs(pairs: Iterable[tuple[float, float]]) -> float:
         else:
             total += s * p
     return math.inf if has_inf else total
-
-
-def measure_exp(joint: np.ndarray, spec: ScoreFunction) -> float:
-    """Probability-weighted mean score; +inf if any reachable cell scores +inf."""
-    n_pos = joint.shape[0] - 1
-    n_neg = joint.shape[1] - 1
-    pairs = []
-    for a in range(n_pos + 1):
-        for b in range(n_neg + 1):
-            p = float(joint[a, b])
-            if p != 0.0:
-                pairs.append((eval_score(spec, a, b, n_pos, n_neg), p))
-    return exp_of_pairs(pairs)
 
 
 def median_from_masses(scores: Sequence[float], masses: Sequence[float]) -> float:
@@ -245,30 +234,102 @@ def phi_pr_of_pairs(pairs: Iterable[tuple[float, float]], phi: float) -> float:
     return sum(p for s, p in pairs if s >= phi)
 
 
-def measure_phi_pr(joint: np.ndarray, spec: ScoreFunction, phi: float) -> float:
-    """Total probability mass on support pairs scoring at least ``phi``."""
-    n_pos = joint.shape[0] - 1
-    n_neg = joint.shape[1] - 1
-    total = 0.0
-    for a in range(n_pos + 1):
-        for b in range(n_neg + 1):
-            p = float(joint[a, b])
-            if p != 0.0 and eval_score(spec, a, b, n_pos, n_neg) >= phi:
-                total += p
-    return total
+class _MeasureGrids:
+    """Measure tables over the (n_pos+1) x (n_neg+1) support-pair grid.
+
+    ``grid`` holds the score of every support pair (a, b); ``envelope``, when
+    given, holds their upper envelopes and backs ``bounds``. Expectation and
+    phi-probability are linear in the joint law, so each reduces to a weight
+    table (plus a +inf mask for expectation); median and mode group the cells
+    by ``score_group_key`` and walk the grouped masses.
+    """
+
+    def __init__(
+        self, measure: MeasureSpec, grid: np.ndarray, envelope: np.ndarray | None = None
+    ) -> None:
+        self.kind = measure.kind
+        self.phi = measure.phi
+        if self.kind in (MEDIAN, MODE):
+            keys = np.array([score_group_key(float(s)) for s in grid.ravel()])
+            self.group_scores, inverse = np.unique(keys, return_inverse=True)
+            self.group_ids = inverse.ravel()
+        else:
+            self.weights = self._weights(grid)
+        self.env_weights = None if envelope is None else self._weights(envelope)
+
+    def _weights(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Finite cell weights of a linear measure, and its +inf mask if any."""
+        if self.kind == EXPECTATION:
+            inf = np.isinf(table)
+            return np.where(inf, 0.0, table), inf.astype(float) if inf.any() else None
+        if self.kind == PHI_PROBABILITY:
+            return (table >= self.phi).astype(float), None
+        raise ValueError(f"no upper bound defined for measure {self.kind!r}")
+
+    @staticmethod
+    def _bilinear(pos: np.ndarray, table: np.ndarray, neg: np.ndarray) -> np.ndarray:
+        return np.einsum("ka,ab,kb->k", pos, table, neg, optimize=True)
+
+    def _linear(self, pos: np.ndarray, neg: np.ndarray, weights) -> np.ndarray:
+        finite, inf_mask = weights
+        values = self._bilinear(pos, finite, neg)
+        if inf_mask is not None:
+            hits = self._bilinear((pos > 0).astype(float), inf_mask, (neg > 0).astype(float))
+            values = np.where(hits > 0, math.inf, values)
+        return values
+
+    def values(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+        """Measure of each product law outer(pos[i], neg[i])."""
+        if self.kind in (MEDIAN, MODE):
+            return np.array([self.joint_value(np.outer(p, n)) for p, n in zip(pos, neg)])
+        return self._linear(pos, neg, self.weights)
+
+    def bounds(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+        """Envelope bound of each product law outer(pos[i], neg[i])."""
+        return self._linear(pos, neg, self.env_weights)
+
+    def group_masses(self, joint: np.ndarray) -> np.ndarray:
+        """Joint mass of each score group, aligned with ``group_scores``."""
+        return np.bincount(self.group_ids, weights=joint.ravel(), minlength=len(self.group_scores))
+
+    def joint_value(self, joint: np.ndarray) -> float:
+        """Measure of one joint support-pair law."""
+        if self.kind == MEDIAN:
+            return median_from_masses(self.group_scores, self.group_masses(joint))
+        if self.kind == MODE:
+            return mode_from_masses(self.group_scores, self.group_masses(joint))
+        finite, inf_mask = self.weights
+        if inf_mask is not None and np.any((joint > 0) & (inf_mask > 0)):
+            return math.inf
+        return float(np.einsum("ab,ab->", joint, finite))
+
+
+def _support_grid(joint: np.ndarray, score: ScoreFunction) -> np.ndarray:
+    return score_grid(score, joint.shape[0] - 1, joint.shape[1] - 1)
+
+
+def score_distribution(joint: np.ndarray, spec: ScoreFunction) -> ScoreDistribution:
+    """Distribution of the score induced by a joint support-pair law."""
+    grids = _MeasureGrids(MeasureSpec(MEDIAN), _support_grid(joint, spec))
+    masses = grids.group_masses(joint)
+    return ScoreDistribution(
+        tuple((float(s), float(p)) for s, p in zip(grids.group_scores, masses) if p != 0.0)
+    )
 
 
 def measure_from_joint(joint: np.ndarray, score: ScoreFunction, measure: MeasureSpec) -> float:
     """Evaluate any of the four measures from a joint support-pair law."""
-    if measure.kind == EXPECTATION:
-        return measure_exp(joint, score)
-    if measure.kind == PHI_PROBABILITY:
-        assert measure.phi is not None
-        return measure_phi_pr(joint, score, measure.phi)
-    dist = score_distribution(joint, score)
-    if measure.kind == MEDIAN:
-        return measure_median(dist)
-    return measure_mode(dist)
+    return _MeasureGrids(measure, _support_grid(joint, score)).joint_value(joint)
+
+
+def measure_exp(joint: np.ndarray, spec: ScoreFunction) -> float:
+    """Probability-weighted mean score; +inf if any reachable cell scores +inf."""
+    return measure_from_joint(joint, spec, MeasureSpec(EXPECTATION))
+
+
+def measure_phi_pr(joint: np.ndarray, spec: ScoreFunction, phi: float) -> float:
+    """Total probability mass on support pairs scoring at least ``phi``."""
+    return measure_from_joint(joint, spec, MeasureSpec(PHI_PROBABILITY, phi))
 
 
 def measure_from_distribution(dist: ScoreDistribution, measure: MeasureSpec) -> float:
@@ -295,29 +356,17 @@ def expected_frequency(g: Subgraph, dataset: Dataset) -> float:
     return total / len(dataset)
 
 
-def ub_exp(joint: np.ndarray, envelope: np.ndarray) -> float:
-    """Upper bound on the expected score of a feature and all its supergraphs."""
+def _envelope_measure(joint: np.ndarray, envelope: np.ndarray, measure: MeasureSpec) -> float:
     if joint.shape != envelope.shape:
         raise ValueError("joint and envelope shapes differ")
-    pairs = []
-    rows, cols = joint.shape
-    for a in range(rows):
-        for b in range(cols):
-            p = float(joint[a, b])
-            if p != 0.0:
-                pairs.append((float(envelope[a, b]), p))
-    return exp_of_pairs(pairs)
+    return _MeasureGrids(measure, envelope).joint_value(joint)
+
+
+def ub_exp(joint: np.ndarray, envelope: np.ndarray) -> float:
+    """Upper bound on the expected score of a feature and all its supergraphs."""
+    return _envelope_measure(joint, envelope, MeasureSpec(EXPECTATION))
 
 
 def ub_phi_pr(joint: np.ndarray, envelope: np.ndarray, phi: float) -> float:
     """Upper bound on the phi-probability of a feature and all its supergraphs."""
-    if joint.shape != envelope.shape:
-        raise ValueError("joint and envelope shapes differ")
-    total = 0.0
-    rows, cols = joint.shape
-    for a in range(rows):
-        for b in range(cols):
-            p = float(joint[a, b])
-            if p != 0.0 and float(envelope[a, b]) >= phi:
-                total += p
-    return total
+    return _envelope_measure(joint, envelope, MeasureSpec(PHI_PROBABILITY, phi))

@@ -229,7 +229,8 @@ def parse_dataset(text: bytes | str) -> Dataset:
     if not isinstance(obj, dict):
         raise DatasetFormatError("top level must be a JSON object")
     num_nodes = obj.get("num_nodes")
-    if not isinstance(num_nodes, int) or num_nodes < 0:
+    # exact type tests: bool subclasses int, but JSON true/false are no integers
+    if type(num_nodes) is not int or num_nodes < 0:
         raise DatasetFormatError("num_nodes must be a nonnegative integer")
     raw_graphs = obj.get("graphs")
     if not isinstance(raw_graphs, list):
@@ -242,7 +243,7 @@ def parse_dataset(text: bytes | str) -> Dataset:
         if not isinstance(item, dict):
             raise DatasetFormatError(f"graph {i}: entry must be an object")
         label = item.get("label")
-        if label not in (1, -1):
+        if isinstance(label, bool) or label not in (1, -1):
             raise DatasetFormatError(f"graph {i}: label must be 1 or -1, got {label!r}")
         gid = item.get("id", f"g{i}")
         if not isinstance(gid, str):
@@ -255,7 +256,7 @@ def parse_dataset(text: bytes | str) -> Dataset:
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise DatasetFormatError(f"graph {i}, edge {j}: expected [u, v, p]")
             u, v, p = entry
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if type(u) is not int or type(v) is not int:
                 raise DatasetFormatError(f"graph {i}, edge {j}: endpoints must be integers")
             if u == v:
                 raise DatasetFormatError(f"graph {i}, edge {j}: self-loop ({u}, {v})")

@@ -27,15 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distribution import (
-    EXPECTATION,
-    MEDIAN,
-    PHI_PROBABILITY,
-    MeasureSpec,
-    median_from_masses,
-    mode_from_masses,
-    score_group_key,
-)
+from .distribution import EXPECTATION, PHI_PROBABILITY, MeasureSpec, _batched_support, _MeasureGrids
 from .graphs import CertainGraph, Dataset, Subgraph, union_graph
 from .graphs import _connected as _edges_connected
 from .scores import ScoreFunction, envelope_table, score_grid
@@ -80,7 +72,9 @@ class SearchStats:
     nodes_evaluated: int = 0
     frequency_pruned: int = 0
     bound_pruned: int = 0
-    theta_trace: list[float] = field(default_factory=list)
+    # (nodes_evaluated, theta) each time theta, the t-th best measure value,
+    # changes; theta is -inf before the first event.
+    theta_trace: list[tuple[int, float]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -129,95 +123,6 @@ def children(parent: Subgraph | None, universe: CertainGraph) -> list[Subgraph]:
     return out
 
 
-def _batched_support(probs: np.ndarray) -> np.ndarray:
-    """Support DP applied to a batch of features at once.
-
-    ``probs`` holds one row of per-graph containment probabilities per
-    feature; row i of the result is the Poisson-binomial law of feature i's
-    support count. Same recurrence as distribution.poisson_binomial, with the
-    graph loop kept scalar and the feature axis vectorized.
-    """
-    k, m = probs.shape
-    dist = np.zeros((k, m + 1))
-    dist[:, 0] = 1.0
-    for j in range(m):
-        p = probs[:, j : j + 1]
-        dist[:, 1 : j + 2] = dist[:, 1 : j + 2] * (1.0 - p) + dist[:, 0 : j + 1] * p
-        dist[:, 0] *= 1.0 - p[:, 0]
-    return dist
-
-
-class _MeasureGrids:
-    """Per-run measure tables over the (n_pos+1) x (n_neg+1) support grid."""
-
-    def __init__(
-        self,
-        score: ScoreFunction,
-        measure: MeasureSpec,
-        n_pos: int,
-        n_neg: int,
-        with_bounds: bool,
-    ) -> None:
-        self.kind = measure.kind
-        grid = score_grid(score, n_pos, n_neg)
-        if self.kind == EXPECTATION:
-            inf_mask = np.isinf(grid)
-            self.finite = np.where(inf_mask, 0.0, grid)
-            self.inf_mask = inf_mask.astype(float)
-            self.has_inf = bool(inf_mask.any())
-        elif self.kind == PHI_PROBABILITY:
-            assert measure.phi is not None
-            self.indicator = (grid >= measure.phi).astype(float)
-        else:
-            keys = np.array([score_group_key(float(s)) for s in grid.ravel()])
-            self.group_scores, inverse = np.unique(keys, return_inverse=True)
-            self.group_ids = inverse.ravel()
-        if with_bounds:
-            env = envelope_table(score, n_pos, n_neg)
-            if self.kind == EXPECTATION:
-                env_inf = np.isinf(env)
-                self.env_finite = np.where(env_inf, 0.0, env)
-                self.env_inf_mask = env_inf.astype(float)
-                self.env_has_inf = bool(env_inf.any())
-            elif self.kind == PHI_PROBABILITY:
-                assert measure.phi is not None
-                self.env_indicator = (env >= measure.phi).astype(float)
-
-    @staticmethod
-    def _bilinear(pos: np.ndarray, grid: np.ndarray, neg: np.ndarray) -> np.ndarray:
-        return np.einsum("ka,ab,kb->k", pos, grid, neg, optimize=True)
-
-    def _expectation(self, pos, neg, finite, inf_mask, has_inf):
-        values = self._bilinear(pos, finite, neg)
-        if has_inf:
-            hits = self._bilinear((pos > 0).astype(float), inf_mask, (neg > 0).astype(float))
-            values = np.where(hits > 0, math.inf, values)
-        return values
-
-    def values(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-        if self.kind == EXPECTATION:
-            return self._expectation(pos, neg, self.finite, self.inf_mask, self.has_inf)
-        if self.kind == PHI_PROBABILITY:
-            return self._bilinear(pos, self.indicator, neg)
-        out = np.empty(pos.shape[0])
-        n_groups = len(self.group_scores)
-        for i in range(pos.shape[0]):
-            joint = np.outer(pos[i], neg[i]).ravel()
-            masses = np.bincount(self.group_ids, weights=joint, minlength=n_groups)
-            if self.kind == MEDIAN:
-                out[i] = median_from_masses(self.group_scores, masses)
-            else:
-                out[i] = mode_from_masses(self.group_scores, masses)
-        return out
-
-    def bounds(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-        if self.kind == EXPECTATION:
-            return self._expectation(pos, neg, self.env_finite, self.env_inf_mask, self.env_has_inf)
-        if self.kind == PHI_PROBABILITY:
-            return self._bilinear(pos, self.env_indicator, neg)
-        raise ValueError(f"no upper bound defined for measure {self.kind!r}")
-
-
 @dataclass(slots=True)
 class _Node:
     sub: Subgraph
@@ -263,9 +168,9 @@ class _Evaluator:
         self.pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
         self.neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
         self.with_bounds = with_bounds
-        self.grids = _MeasureGrids(
-            cfg.score, cfg.measure, len(self.pos_cols), len(self.neg_cols), with_bounds
-        )
+        n_pos, n_neg = len(self.pos_cols), len(self.neg_cols)
+        envelope = envelope_table(cfg.score, n_pos, n_neg) if with_bounds else None
+        self.grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, n_pos, n_neg), envelope)
 
     def evaluate(self, subs: list[Subgraph], contain: np.ndarray) -> list[_Node]:
         pos = _batched_support(contain[:, self.pos_cols])
@@ -313,6 +218,7 @@ def _search(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
     stack = evaluator.evaluate(roots, probs.T.copy())
     stack.reverse()
 
+    theta = -math.inf
     while stack:
         node = stack.pop()
         stats.nodes_evaluated += 1
@@ -320,12 +226,14 @@ def _search(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
         # switch only controls whether their subtrees are still explored.
         if node.exp_freq > cfg.min_sup:
             cands.offer(node)
-        stats.theta_trace.append(cands.theta())
+            if cands.theta() != theta:
+                theta = cands.theta()
+                stats.theta_trace.append((stats.nodes_evaluated, theta))
 
         if cfg.frequency_pruning and node.exp_freq <= cfg.min_sup:
             stats.frequency_pruned += 1
             continue
-        if bound_active and node.bound < cands.theta():
+        if bound_active and node.bound < theta:
             stats.bound_pruned += 1
             continue
         if cfg.max_edges is not None and len(node.sub.edges) >= cfg.max_edges:

@@ -79,11 +79,15 @@ class TestMineCommand:
         f2 = json.loads(out2[out2.index("{"):])["features"]
         assert f1 == f2
 
-    def test_threads_byte_identical(self, capsys, fig2_file):
-        base = ["mine", "--input", fig2_file, "--top", "3"]
-        _, out1, _ = run(capsys, *base, "--threads", "1")
-        _, out2, _ = run(capsys, *base, "--threads", "4")
-        assert out1 == out2
+    def test_threads_flag_removed(self, capsys, fig2_file):
+        code, out, err = run(capsys, "mine", "--input", fig2_file, "--threads", "2")
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
+
+    def test_seed_flag_removed(self, capsys, fig2_file):
+        code, _, _ = run(capsys, "mine", "--input", fig2_file, "--seed", "1")
+        assert code == 2
 
     def test_deterministic_output(self, capsys, fig2_file):
         base = ["mine", "--input", fig2_file, "--top", "3"]
@@ -112,6 +116,24 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "transmogrify")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["mine", "evaluate"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--top", "0"), ("--min-sup", "2"), ("--max-edges", "0")]
+    )
+    def test_out_of_range_flag(self, capsys, fig2_file, command, flag, value):
+        code, out, err = run(capsys, command, "--input", fig2_file, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
+    def test_boolean_label_in_dataset(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"num_nodes": 3, "graphs": [{"label": true, "edges": [[0, 1, 0.5]]}]}')
+        code, out, err = run(capsys, "stats", "--input", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_malformed_dataset(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -176,6 +198,22 @@ class TestFeaturizeCommand:
         assert lines[0] == "g_0,label"
         assert lines[1] == "0.7200000000000001,1"
         assert len(lines) == 5
+
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"features": [{"rank": 1}]}', '{"features": {"edges": [[0, 1]]}}'],
+        ids=["entry-without-edges", "features-not-a-list"],
+    )
+    def test_malformed_features_file(self, capsys, fig2_file, tmp_path, content):
+        features = tmp_path / "features.json"
+        features.write_text(content)
+        code, out, err = run(
+            capsys, "featurize", "--input", fig2_file, "--features", str(features)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestEvaluateCommand:

@@ -37,6 +37,19 @@ class TestParse:
         with pytest.raises(ug.DatasetFormatError, match="graph 0.*label"):
             ug.parse_dataset(minimal_text([[0, 1, 0.5]], label=2))
 
+    def test_boolean_label_rejected(self):
+        with pytest.raises(ug.DatasetFormatError, match="graph 0.*label"):
+            ug.parse_dataset(minimal_text([[0, 1, 0.5]], label=True))
+
+    @pytest.mark.parametrize("edge", [[True, 2, 0.5], [0, False, 0.5]])
+    def test_boolean_endpoint_rejected(self, edge):
+        with pytest.raises(ug.DatasetFormatError, match="endpoints must be integers"):
+            ug.parse_dataset(minimal_text([edge]))
+
+    def test_boolean_num_nodes_rejected(self):
+        with pytest.raises(ug.DatasetFormatError, match="num_nodes"):
+            ug.parse_dataset(minimal_text([[0, 1, 0.5]], num_nodes=True))
+
     def test_endpoint_outside_universe(self):
         with pytest.raises(ug.DatasetFormatError, match="graph 0, edge 0"):
             ug.parse_dataset(minimal_text([[0, 7, 0.5]]))

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import ugmine as ug
-from ugmine.miner import _batched_support
+from ugmine.distribution import _batched_support
 from conftest import connected_edge_subsets, make_random_dataset
 
 TRIANGLE = ug.CertainGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
@@ -145,7 +146,12 @@ class TestMine:
     def test_theta_monotone(self, fig2):
         result = ug.mine(fig2, simple_cfg(t=2, min_sup=0.0))
         trace = result.stats.theta_trace
-        assert all(a <= b for a, b in zip(trace, trace[1:]))
+        assert trace
+        indices = [i for i, _ in trace]
+        thetas = [theta for _, theta in trace]
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        assert all(a <= b for a, b in zip(thetas, thetas[1:]))
+        assert 1 <= indices[0] and indices[-1] <= result.stats.nodes_evaluated
 
     def test_deterministic(self, fig2):
         cfg = simple_cfg(t=4, min_sup=0.1)
@@ -223,13 +229,21 @@ class TestPruneSoundness:
 
 
 class TestBatchedSupport:
-    def test_matches_scalar_dp(self):
+    def test_matches_convolution_reference(self):
         rng = random.Random(17)
         probs = np.array([[rng.random() for _ in range(8)] for _ in range(5)])
         batched = _batched_support(probs)
         for i in range(probs.shape[0]):
-            scalar = ug.poisson_binomial(list(probs[i]))
-            assert np.max(np.abs(batched[i] - scalar)) == 0.0
+            reference = functools.reduce(np.convolve, [[1.0 - p, p] for p in probs[i]])
+            assert np.max(np.abs(batched[i] - reference)) <= 1e-12
+
+    def test_multiply_adds_exact(self):
+        rng = random.Random(21)
+        for k, m in [(1, 1), (1, 7), (4, 9), (15, 30)]:
+            counter = ug.MultiplyAddCounter()
+            probs = np.array([[rng.random() for _ in range(m)] for _ in range(k)])
+            _batched_support(probs, counter)
+            assert counter.count == k * m * (m + 1)
 
     def test_rows_normalized(self):
         rng = random.Random(19)

@@ -25,6 +25,7 @@ from .distribution import (
     support_distribution,
 )
 from .graphs import (
+    CertainGraph,
     Dataset,
     DatasetFormatError,
     Subgraph,
@@ -119,9 +120,15 @@ def _load_dataset(path: str) -> Dataset:
         return parse_dataset(fh.read())
 
 
+def _check_cap_epsilon(args: argparse.Namespace) -> None:
+    if args.cap_epsilon is not None and not args.cap_epsilon >= 0.0:
+        raise UsageError("--cap-epsilon must be >= 0")
+
+
 def _mining_config(args: argparse.Namespace) -> MiningConfig:
     if args.phi is not None and args.measure != PHI_PROBABILITY:
         raise UsageError("--phi only applies to the phi-pr measure")
+    _check_cap_epsilon(args)
     if args.top < 1:
         raise UsageError("--top must be >= 1")
     if not 0.0 <= args.min_sup <= 1.0:
@@ -199,12 +206,13 @@ def _run_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _random_connected_subgraph(rng: random.Random, edges: list, adjacency: dict) -> Subgraph:
+def _random_connected_subgraph(
+    rng: random.Random, edges: list, universe: CertainGraph
+) -> Subgraph:
     sub = {rng.choice(edges)}
     target = rng.randint(1, 3)
     while len(sub) < target:
-        nodes = {n for e in sub for n in e}
-        frontier = sorted({e for n in nodes for e in adjacency[n]} - sub)
+        frontier = universe.extensions(sub)
         if not frontier:
             break
         sub.add(rng.choice(frontier))
@@ -212,6 +220,9 @@ def _random_connected_subgraph(rng: random.Random, edges: list, adjacency: dict)
 
 
 def _run_oracle_check(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
+    _check_cap_epsilon(args)
     dataset = _load_dataset(args.input)
     if dataset.n_pos < 1 or dataset.n_neg < 1:
         raise UsageError("oracle-check needs both classes present")
@@ -228,15 +239,11 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     if not edges:
         print("0/0 matched (empty union graph)")
         return 0
-    adjacency: dict[int, set] = {}
-    for e in edges:
-        adjacency.setdefault(e[0], set()).add(e)
-        adjacency.setdefault(e[1], set()).add(e)
 
     rng = random.Random(args.seed)
     matched = 0
     for _ in range(args.trials):
-        g = _random_connected_subgraph(rng, edges, adjacency)
+        g = _random_connected_subgraph(rng, edges, universe)
         dp_joint = joint_distribution(
             support_distribution(g, dataset.pos), support_distribution(g, dataset.neg)
         )
@@ -307,6 +314,10 @@ def _run_featurize(args: argparse.Namespace) -> int:
 
 
 def _run_evaluate(args: argparse.Namespace) -> int:
+    if args.repeats < 1:
+        raise UsageError("--repeats must be >= 1")
+    if not 0.0 < args.train_fraction < 1.0:
+        raise UsageError("--train-fraction must lie strictly between 0 and 1")
     dataset = _load_dataset(args.input)
     cfg = _mining_config(args)
     report = evaluate(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 Edge = tuple[int, int]
@@ -65,6 +66,21 @@ class CertainGraph:
         for e in self.edges:
             _check_edge(e, self.num_nodes, "certain graph")
 
+    @cached_property
+    def incident(self) -> dict[int, tuple[Edge, ...]]:
+        """Incidence index: each non-isolated node's edges, ascending; built once."""
+        index: dict[int, list[Edge]] = {}
+        for e in sorted(self.edges):
+            index.setdefault(e[0], []).append(e)
+            index.setdefault(e[1], []).append(e)
+        return {n: tuple(es) for n, es in index.items()}
+
+    def extensions(self, edges: Iterable[Edge]) -> list[Edge]:
+        """Edges of this graph touching the node set of ``edges`` but not in it, ascending."""
+        own = set(edges)
+        incident = self.incident
+        return sorted({f for n in {n for e in own for n in e} for f in incident[n]} - own)
+
 
 def _connected(edges: Iterable[Edge]) -> bool:
     """True when the edge-induced node set forms one connected component."""
@@ -106,6 +122,13 @@ class Subgraph:
                 raise ValueError(f"subgraph edge ({u}, {v}) not canonical")
         if not _connected(self.edges):
             raise ValueError("subgraph edge set is not connected")
+
+    @classmethod
+    def _trusted(cls, edges: tuple[Edge, ...]) -> "Subgraph":
+        """Wrap edges already known to be in canonical form, skipping validation."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "edges", edges)
+        return sub
 
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple[int, int]]) -> "Subgraph":

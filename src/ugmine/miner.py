@@ -7,11 +7,21 @@ subgraph has a unique canonical parent (drop the largest edge whose removal
 keeps it connected), so each connected subgraph of the union graph is
 generated exactly once.
 
-At every tree node the exact support distributions are computed, the measure
-value is offered to a bounded best-t candidate list, and the subtree is cut
-when either the expected frequency falls to min_sup or below (sound by
-anti-monotonicity) or, for the expectation and phi-probability measures, the
-dominating upper bound cannot beat the current t-th best value.
+Each child is generated from the universe's incidence index and accepted
+by a parent test on edge tuples; only accepted children become Subgraph
+objects. At every tree node the expected frequency is computed first. A node
+at or below min_sup is never a candidate, so the exact support distributions,
+the measure value and (where read) the bound are computed only for nodes
+above it: such a node is offered to a bounded best-t candidate list, and its
+subtree is cut when either the expected frequency falls to min_sup or below
+(sound by anti-monotonicity) or, for the expectation and phi-probability
+measures, the dominating upper bound cannot beat the current t-th best value.
+With frequency pruning off the infrequent nodes are still expanded, and their
+bounds are computed too when bound pruning is on.
+
+``SearchStats.nodes_evaluated`` counts every tree node whose expected
+frequency was computed, frequent or not; it is not the number of nodes that
+got a support distribution.
 
 The candidate list keeps the t best features under the total order
 (measure desc, fewer edges, lexicographically smaller edge list), which makes
@@ -28,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distribution import EXPECTATION, PHI_PROBABILITY, MeasureSpec, _batched_support, _MeasureGrids
-from .graphs import CertainGraph, Dataset, Subgraph, union_graph
+from .graphs import CertainGraph, Dataset, Edge, Subgraph, union_graph
 from .graphs import _connected as _edges_connected
 from .scores import ScoreFunction, envelope_table, score_grid
 
@@ -97,8 +107,25 @@ def canonical_parent(sub: Subgraph) -> Subgraph | None:
     for i in range(len(edges) - 1, -1, -1):
         rest = edges[:i] + edges[i + 1 :]
         if _edges_connected(rest):
-            return Subgraph(rest)
+            return Subgraph._trusted(rest)
     raise AssertionError(f"no removable edge in connected subgraph {edges}")
+
+
+def _is_canonical_extension(edges: tuple[Edge, ...], e: Edge) -> bool:
+    """True iff the child ``edges`` + ``e`` has canonical parent ``edges``.
+
+    Dropping ``e`` leaves the connected parent, so this holds iff no edge of
+    the parent larger than ``e`` can be dropped with the rest staying
+    connected; the test walks those edges from the largest down.
+    """
+    child = edges + (e,)
+    for i in range(len(edges) - 1, -1, -1):
+        if edges[i] < e:
+            break
+        rest = child[:i] + child[i + 1 :]
+        if len(rest) == 1 or _edges_connected(rest):
+            return False
+    return True
 
 
 def children(parent: Subgraph | None, universe: CertainGraph) -> list[Subgraph]:
@@ -106,21 +133,17 @@ def children(parent: Subgraph | None, universe: CertainGraph) -> list[Subgraph]:
 
     The root (None) owns every single-edge subgraph. Otherwise a child is the
     parent plus one incident universe edge whose canonical parent is exactly
-    this parent; across the whole tree every connected subgraph of the
-    universe appears exactly once.
+    this parent, in ascending order of that edge; across the whole tree every
+    connected subgraph of the universe appears exactly once.
     """
     if parent is None:
-        return [Subgraph((e,)) for e in sorted(universe.edges)]
-    nodes = parent.nodes
-    own = set(parent.edges)
-    out = []
-    for e in sorted(universe.edges):
-        if e in own or (e[0] not in nodes and e[1] not in nodes):
-            continue
-        cand = Subgraph(tuple(sorted(parent.edges + (e,))))
-        if canonical_parent(cand) == parent:
-            out.append(cand)
-    return out
+        return [Subgraph._trusted((e,)) for e in sorted(universe.edges)]
+    edges = parent.edges
+    return [
+        Subgraph._trusted(tuple(sorted(edges + (e,))))
+        for e in universe.extensions(edges)
+        if _is_canonical_extension(edges, e)
+    ]
 
 
 @dataclass(slots=True)
@@ -128,10 +151,12 @@ class _Node:
     sub: Subgraph
     contain: np.ndarray
     exp_freq: float
-    value: float
-    bound: float
-    pos_dist: np.ndarray
-    neg_dist: np.ndarray
+    # Computed only above min_sup (value, distributions) or where the bound is
+    # read; otherwise nan for the value, +inf for the bound and None.
+    value: float = math.nan
+    bound: float = math.inf
+    pos_dist: np.ndarray | None = None
+    neg_dist: np.ndarray | None = None
 
 
 class _CandidateList:
@@ -167,32 +192,44 @@ class _Evaluator:
     def __init__(self, dataset: Dataset, cfg: MiningConfig, with_bounds: bool) -> None:
         self.pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
         self.neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
+        self.min_sup = cfg.min_sup
         self.with_bounds = with_bounds
+        # Infrequent nodes reach the bound test only when they are not
+        # frequency-pruned first.
+        self.bound_infrequent = with_bounds and not cfg.frequency_pruning
         n_pos, n_neg = len(self.pos_cols), len(self.neg_cols)
         envelope = envelope_table(cfg.score, n_pos, n_neg) if with_bounds else None
         self.grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, n_pos, n_neg), envelope)
 
-    def evaluate(self, subs: list[Subgraph], contain: np.ndarray) -> list[_Node]:
+    def _support(self, contain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pos = _batched_support(contain[:, self.pos_cols])
-        neg = _batched_support(contain[:, self.neg_cols])
+        return pos, _batched_support(contain[:, self.neg_cols])
+
+    def evaluate(self, subs: list[Subgraph], contain: np.ndarray) -> list[_Node]:
+        """Nodes for ``subs``, whose containment rows are ``contain``."""
         exp_freq = contain.mean(axis=1)
-        values = self.grids.values(pos, neg)
-        if self.with_bounds:
-            bounds = self.grids.bounds(pos, neg)
-        else:
-            bounds = np.full(len(subs), math.inf)
-        return [
-            _Node(
-                sub,
-                contain[i],
-                float(exp_freq[i]),
-                float(values[i]),
-                float(bounds[i]),
-                pos[i],
-                neg[i],
-            )
-            for i, sub in enumerate(subs)
-        ]
+        frequent = exp_freq > self.min_sup
+        nodes = [_Node(*args) for args in zip(subs, contain, exp_freq.tolist())]
+        # The measure tables are not bit-stable across batch sizes, so the
+        # frequent rows of a batch form their own batch in every mode: mine
+        # and mine_exhaustive then agree exactly.
+        live = np.flatnonzero(frequent)
+        if len(live):
+            pos, neg = self._support(contain[live])
+            values = self.grids.values(pos, neg)
+            bounds = self.grids.bounds(pos, neg) if self.with_bounds else None
+            for j, i in enumerate(live):
+                node = nodes[i]
+                node.value = float(values[j])
+                if bounds is not None:
+                    node.bound = float(bounds[j])
+                node.pos_dist, node.neg_dist = pos[j], neg[j]
+        if self.bound_infrequent:
+            dead = np.flatnonzero(~frequent)
+            if len(dead):
+                for i, b in zip(dead, self.grids.bounds(*self._support(contain[dead]))):
+                    nodes[i].bound = float(b)
+        return nodes
 
 
 def _search(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
@@ -214,8 +251,7 @@ def _search(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
     bound_active = cfg.bound_pruning and cfg.measure.kind in (EXPECTATION, PHI_PROBABILITY)
     evaluator = _Evaluator(dataset, cfg, bound_active)
 
-    roots = [Subgraph((e,)) for e in edges]
-    stack = evaluator.evaluate(roots, probs.T.copy())
+    stack = evaluator.evaluate(children(None, universe), probs.T.copy())
     stack.reverse()
 
     theta = -math.inf
@@ -241,7 +277,8 @@ def _search(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
 
         kids = children(node.sub, universe)
         if kids:
-            added = [next(iter(set(k.edges) - set(node.sub.edges))) for k in kids]
+            own = set(node.sub.edges)
+            added = [e for k in kids for e in k.edges if e not in own]
             contain = node.contain * probs[:, [col[e] for e in added]].T
             child_nodes = evaluator.evaluate(kids, contain)
             stack.extend(reversed(child_nodes))

@@ -127,6 +127,24 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("mine", "--cap-epsilon", "-1"),
+            ("evaluate", "--train-fraction", "1.5"),
+            ("evaluate", "--train-fraction", "0"),
+            ("evaluate", "--repeats", "0"),
+            ("oracle-check", "--trials", "-1"),
+            ("oracle-check", "--cap-epsilon", "-1"),
+        ],
+    )
+    def test_out_of_range_flag_other_commands(self, capsys, fig2_file, command, flag, value):
+        code, out, err = run(capsys, command, "--input", fig2_file, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+        assert err.count("\n") == 1
+
     def test_boolean_label_in_dataset(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"num_nodes": 3, "graphs": [{"label": true, "edges": [[0, 1, 0.5]]}]}')

@@ -1,13 +1,20 @@
 import functools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ugmine as ug
+import ugmine.miner as miner
 from ugmine.distribution import _batched_support
-from conftest import connected_edge_subsets, make_random_dataset
+from conftest import (
+    all_pairs,
+    connected_edge_subsets,
+    make_random_dataset,
+    random_connected_subgraph,
+)
 
 TRIANGLE = ug.CertainGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
 PATH_UNIVERSE = ug.CertainGraph(3, frozenset({(0, 1), (1, 2)}))
@@ -22,6 +29,20 @@ def walk_tree(universe):
         for child in ug.children(node, universe):
             out.append((node, child))
             stack.append(child)
+    return out
+
+
+def reference_children(parent, universe):
+    """Children by definition: each incident edge e, ascending, whose
+    extension P+e has canonical parent P."""
+    nodes = parent.nodes
+    out = []
+    for e in sorted(universe.edges):
+        if e in parent.edges or (e[0] not in nodes and e[1] not in nodes):
+            continue
+        cand = ug.Subgraph(tuple(sorted(parent.edges + (e,))))
+        if ug.canonical_parent(cand) == parent:
+            out.append(cand)
     return out
 
 
@@ -92,6 +113,21 @@ class TestChildren:
             expected = connected_edge_subsets(sorted(edges))
             assert len(visited) == len(expected)
             assert {frozenset(v.edges) for v in visited} == expected
+
+    def test_matches_reference_definition(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            num_nodes = rng.randint(3, 7)
+            pairs = all_pairs(num_nodes)
+            edges = rng.sample(pairs, rng.randint(1, min(12, len(pairs))))
+            universe = ug.CertainGraph(num_nodes, frozenset(edges))
+            assert ug.children(None, universe) == [ug.Subgraph((e,)) for e in sorted(edges)]
+            for _ in range(10):
+                parent = random_connected_subgraph(rng, sorted(edges), max_size=6)
+                kids = ug.children(parent, universe)
+                assert kids == reference_children(parent, universe)
+                for k in kids:
+                    assert ug.Subgraph(k.edges) == k
 
 
 class TestMine:
@@ -250,3 +286,57 @@ class TestBatchedSupport:
         probs = np.array([[rng.random() for _ in range(12)] for _ in range(7)])
         batched = _batched_support(probs)
         assert batched.sum(axis=1) == pytest.approx(np.ones(7), abs=1e-9)
+
+
+class TestFrequencyGate:
+    @staticmethod
+    def datasets(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield make_random_dataset(
+                rng, n_graphs=rng.randint(4, 6), num_nodes=4, max_edges=3, prob_lo=0.2
+            )
+
+    def test_dp_sees_only_frequent_rows(self, monkeypatch):
+        rows = []
+        real = miner._batched_support
+
+        def spy(probs, counter=None):
+            rows.append(probs.copy())
+            return real(probs, counter)
+
+        monkeypatch.setattr(miner, "_batched_support", spy)
+        for ds in self.datasets(31, 8):
+            for cfg in all_configs(min_sup=0.2):
+                rows.clear()
+                result = ug.mine(ds, cfg)
+                # calls come in (positive, negative) pairs over the same rows
+                pairs = list(zip(rows[::2], rows[1::2]))
+                dp_rows = sum(len(p) for p, _ in pairs)
+                assert dp_rows == result.stats.nodes_evaluated - result.stats.frequency_pruned
+                for p, n in pairs:
+                    freq = (p.sum(axis=1) + n.sum(axis=1)) / len(ds)
+                    assert np.all(freq > cfg.min_sup - 1e-12)
+
+    def test_bounds_without_frequency_pruning_match_exhaustive(self):
+        for ds in self.datasets(37, 6):
+            for cfg in all_configs(min_sup=0.2):
+                bounded = ug.mine(ds, replace(cfg, frequency_pruning=False))
+                full = ug.mine_exhaustive(ds, cfg)
+                assert [f.subgraph for f in bounded.features] == [
+                    f.subgraph for f in full.features
+                ]
+                assert [f.measure_value for f in bounded.features] == [
+                    f.measure_value for f in full.features
+                ]
+                assert [f.exp_freq for f in bounded.features] == [
+                    f.exp_freq for f in full.features
+                ]
+
+    def test_kept_joints_match_oracle(self):
+        for ds in self.datasets(41, 6):
+            for cfg in all_configs(t=4, min_sup=0.2):
+                for run in (ug.mine, ug.mine_exhaustive):
+                    for f in run(ds, replace(cfg, keep_joints=True)).features:
+                        bf = ug.oracle_joint(f.subgraph, ds)
+                        assert np.max(np.abs(f.joint - bf)) <= 1e-9

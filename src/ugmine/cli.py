@@ -17,6 +17,7 @@ import numpy as np
 
 from .classify import evaluate, export_csv, featurize
 from .distribution import (
+    EXPECTATION,
     MEASURE_KINDS,
     PHI_PROBABILITY,
     MeasureSpec,
@@ -55,13 +56,17 @@ def _add_dataset_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="dataset JSON file")
 
 
-def _add_mining_args(p: argparse.ArgumentParser) -> None:
+def _add_measure_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--measure", choices=MEASURE_KINDS, default="phi-pr")
     p.add_argument("--score", choices=SCORE_KINDS, default="ratio")
-    p.add_argument("--top", type=int, default=100, help="number of features to keep")
-    p.add_argument("--min-sup", type=float, default=0.2, help="minimum expected frequency")
     p.add_argument("--phi", type=float, default=None, help="phi threshold (phi-pr only)")
     p.add_argument("--cap-epsilon", type=float, default=None, help="score cap 1/eps; 0 disables")
+
+
+def _add_mining_args(p: argparse.ArgumentParser) -> None:
+    _add_measure_args(p)
+    p.add_argument("--top", type=int, default=100, help="number of features to keep")
+    p.add_argument("--min-sup", type=float, default=0.2, help="minimum expected frequency")
     p.add_argument("--max-edges", type=int, default=None)
     p.add_argument("--no-prune", action="store_true", help="disable all subtree pruning")
 
@@ -82,10 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arg(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--measure", choices=MEASURE_KINDS, default="phi-pr")
-    p.add_argument("--score", choices=SCORE_KINDS, default="ratio")
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--cap-epsilon", type=float, default=None)
+    _add_measure_args(p)
     p.add_argument("--max-worlds", type=int, default=DEFAULT_MAX_WORLDS)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
@@ -120,35 +122,37 @@ def _load_dataset(path: str) -> Dataset:
         return parse_dataset(fh.read())
 
 
-def _check_cap_epsilon(args: argparse.Namespace) -> None:
+def _measure_and_score(args: argparse.Namespace) -> tuple[MeasureSpec, ScoreFunction]:
+    """The measure and score of ``_add_measure_args``, with their defaults."""
+    if args.phi is not None and args.measure != PHI_PROBABILITY:
+        raise UsageError("--phi only applies to the phi-pr measure")
     if args.cap_epsilon is not None and not args.cap_epsilon >= 0.0:
         raise UsageError("--cap-epsilon must be >= 0")
+    phi = None
+    if args.measure == PHI_PROBABILITY:
+        phi = args.phi if args.phi is not None else PHI_DEFAULTS[args.score]
+    if args.cap_epsilon is not None:
+        cap = args.cap_epsilon
+    elif args.measure == EXPECTATION and args.score in ("ratio", "gtest"):
+        cap = 0.01  # expectation is fragile to +inf scores; cap by default
+    else:
+        cap = 0.0
+    return MeasureSpec(args.measure, phi), ScoreFunction(args.score, cap)
 
 
 def _mining_config(args: argparse.Namespace) -> MiningConfig:
-    if args.phi is not None and args.measure != PHI_PROBABILITY:
-        raise UsageError("--phi only applies to the phi-pr measure")
-    _check_cap_epsilon(args)
+    measure, score = _measure_and_score(args)
     if args.top < 1:
         raise UsageError("--top must be >= 1")
     if not 0.0 <= args.min_sup <= 1.0:
         raise UsageError("--min-sup must lie in [0, 1]")
     if args.max_edges is not None and args.max_edges < 1:
         raise UsageError("--max-edges must be >= 1")
-    phi = None
-    if args.measure == PHI_PROBABILITY:
-        phi = args.phi if args.phi is not None else PHI_DEFAULTS[args.score]
-    if args.cap_epsilon is not None:
-        cap = args.cap_epsilon
-    elif args.measure == "exp" and args.score in ("ratio", "gtest"):
-        cap = 0.01  # expectation is fragile to +inf scores; cap by default
-    else:
-        cap = 0.0
     return MiningConfig(
         t=args.top,
         min_sup=args.min_sup,
-        measure=MeasureSpec(args.measure, phi),
-        score=ScoreFunction(args.score, cap),
+        measure=measure,
+        score=score,
         max_edges=args.max_edges,
         frequency_pruning=not args.no_prune,
         bound_pruning=not args.no_prune,
@@ -222,17 +226,10 @@ def _random_connected_subgraph(
 def _run_oracle_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    _check_cap_epsilon(args)
+    measure, score = _measure_and_score(args)
     dataset = _load_dataset(args.input)
     if dataset.n_pos < 1 or dataset.n_neg < 1:
         raise UsageError("oracle-check needs both classes present")
-    if args.phi is not None and args.measure != PHI_PROBABILITY:
-        raise UsageError("--phi only applies to the phi-pr measure")
-    phi = None
-    if args.measure == PHI_PROBABILITY:
-        phi = args.phi if args.phi is not None else PHI_DEFAULTS[args.score]
-    measure = MeasureSpec(args.measure, phi)
-    score = ScoreFunction(args.score, args.cap_epsilon or 0.0)
 
     universe = union_graph(dataset)
     edges = sorted(universe.edges)

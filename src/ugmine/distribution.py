@@ -268,7 +268,13 @@ class _MeasureGrids:
 
     @staticmethod
     def _bilinear(pos: np.ndarray, table: np.ndarray, neg: np.ndarray) -> np.ndarray:
-        return np.einsum("ka,ab,kb->k", pos, table, neg, optimize=True)
+        """``pos[i] @ table @ neg[i]`` for every row i.
+
+        Each row gets the same fixed-order arithmetic, so its result does not
+        depend on the other rows of the batch, and with nonnegative laws a
+        cellwise-larger table never gives a smaller result.
+        """
+        return ((pos[:, None, :] @ table)[:, 0, :] * neg).sum(axis=1)
 
     def _linear(self, pos: np.ndarray, neg: np.ndarray, weights) -> np.ndarray:
         finite, inf_mask = weights

@@ -11,22 +11,23 @@ Each child is generated from the universe's incidence index and accepted
 by a parent test on edge tuples; only accepted children become Subgraph
 objects. At every tree node the expected frequency is computed first. A node
 at or below min_sup is never a candidate, so the exact support distributions,
-the measure value and (where read) the bound are computed only for nodes
-above it: such a node is offered to a bounded best-t candidate list, and its
-subtree is cut when either the expected frequency falls to min_sup or below
-(sound by anti-monotonicity) or, for the expectation and phi-probability
-measures, the dominating upper bound cannot beat the current t-th best value.
-With frequency pruning off the infrequent nodes are still expanded, and their
-bounds are computed too when bound pruning is on.
+the measure value and the bound are computed only for nodes above it, in one
+batch per child list: such a node is offered to a bounded best-t candidate
+list, and its subtree is cut when either the expected frequency falls to
+min_sup or below (sound by anti-monotonicity) or, for the expectation and
+phi-probability measures, the dominating upper bound cannot beat the current
+t-th best value.
 
 ``SearchStats.nodes_evaluated`` counts every tree node whose expected
 frequency was computed, frequent or not; it is not the number of nodes that
 got a support distribution.
 
-The candidate list keeps the t best features under the total order
-(measure desc, fewer edges, lexicographically smaller edge list), which makes
-the mined set a pure function of the set of evaluated subgraphs, independent
-of traversal or insertion order.
+A feature's measure value and bound are a pure function of its own support
+laws: every row of a batch is contracted with the same arithmetic, whatever
+rows share the batch. The candidate list keeps the t best features under the
+total order (measure desc, fewer edges, lexicographically smaller edge list),
+so the mined set is a pure function of the set of evaluated subgraphs,
+independent of traversal, batching or insertion order.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ class _Node:
     sub: Subgraph
     contain: np.ndarray
     exp_freq: float
-    # Computed only above min_sup (value, distributions) or where the bound is
-    # read; otherwise nan for the value, +inf for the bound and None.
+    # Computed only above min_sup; below it the value is nan, the bound +inf
+    # (never bound-pruned) and the distributions None.
     value: float = math.nan
     bound: float = math.inf
     pos_dist: np.ndarray | None = None
@@ -194,28 +195,19 @@ class _Evaluator:
         self.neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
         self.min_sup = cfg.min_sup
         self.with_bounds = with_bounds
-        # Infrequent nodes reach the bound test only when they are not
-        # frequency-pruned first.
-        self.bound_infrequent = with_bounds and not cfg.frequency_pruning
         n_pos, n_neg = len(self.pos_cols), len(self.neg_cols)
         envelope = envelope_table(cfg.score, n_pos, n_neg) if with_bounds else None
         self.grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, n_pos, n_neg), envelope)
 
-    def _support(self, contain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pos = _batched_support(contain[:, self.pos_cols])
-        return pos, _batched_support(contain[:, self.neg_cols])
-
     def evaluate(self, subs: list[Subgraph], contain: np.ndarray) -> list[_Node]:
         """Nodes for ``subs``, whose containment rows are ``contain``."""
         exp_freq = contain.mean(axis=1)
-        frequent = exp_freq > self.min_sup
         nodes = [_Node(*args) for args in zip(subs, contain, exp_freq.tolist())]
-        # The measure tables are not bit-stable across batch sizes, so the
-        # frequent rows of a batch form their own batch in every mode: mine
-        # and mine_exhaustive then agree exactly.
-        live = np.flatnonzero(frequent)
+        live = np.flatnonzero(exp_freq > self.min_sup)
         if len(live):
-            pos, neg = self._support(contain[live])
+            rows = contain[live]
+            pos = _batched_support(rows[:, self.pos_cols])
+            neg = _batched_support(rows[:, self.neg_cols])
             values = self.grids.values(pos, neg)
             bounds = self.grids.bounds(pos, neg) if self.with_bounds else None
             for j, i in enumerate(live):
@@ -224,11 +216,6 @@ class _Evaluator:
                 if bounds is not None:
                     node.bound = float(bounds[j])
                 node.pos_dist, node.neg_dist = pos[j], neg[j]
-        if self.bound_infrequent:
-            dead = np.flatnonzero(~frequent)
-            if len(dead):
-                for i, b in zip(dead, self.grids.bounds(*self._support(contain[dead]))):
-                    nodes[i].bound = float(b)
         return nodes
 
 

@@ -52,8 +52,11 @@ def world_count(dataset: Dataset) -> int:
 def _check_budget(dataset: Dataset, max_worlds: int) -> None:
     count = world_count(dataset)
     if count > max_worlds:
+        # A power of two; past 2^64 its decimal form is unreadable (and past
+        # about 2^14000 longer than Python converts to a string).
+        shown = count if count.bit_length() <= 65 else f"2^{count.bit_length() - 1}"
         raise WorldCountError(
-            f"dataset has {count} possible worlds, exceeding the budget of {max_worlds}"
+            f"dataset has {shown} possible worlds, exceeding the budget of {max_worlds}"
         )
 
 

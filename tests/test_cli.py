@@ -3,7 +3,7 @@ import json
 import pytest
 
 import ugmine as ug
-from ugmine.cli import main
+from ugmine.cli import _measure_and_score, build_parser, main
 from conftest import DATA_DIR
 
 
@@ -174,6 +174,26 @@ class TestOracleCheck:
             capsys,
             "oracle-check", "--input", fig2_file, "--trials", "1", "--max-worlds", "10",
         )
+        assert code == 1
+        assert "possible worlds" in err
+
+    def test_exp_default_cap_shared_with_mine(self):
+        for command in ("mine", "evaluate", "oracle-check"):
+            argv = [command, "--input", "x.json", "--measure", "exp", "--score", "gtest"]
+            measure, score = _measure_and_score(build_parser().parse_args(argv))
+            assert measure == ug.MeasureSpec("exp")
+            assert score == ug.ScoreFunction("gtest", 0.01)
+
+    def test_budget_exceeded_huge_count(self, capsys, tmp_path):
+        # 2 x 7260 edges: 2^14520 worlds, past the digit limit of int-to-str
+        full = {(u, v): 0.5 for u in range(121) for v in range(u + 1, 121)}
+        graphs = (ug.UncertainGraph(121, full), ug.UncertainGraph(121, full))
+        ds = ug.Dataset(121, graphs, (1, -1))
+        with pytest.raises(ug.WorldCountError, match=r"2\^14520 possible worlds, exceeding"):
+            ug.oracle_joint(ug.Subgraph.from_edges([(0, 1)]), ds)
+        path = tmp_path / "huge.json"
+        path.write_bytes(ug.serialize_dataset(ds))
+        code, _, err = run(capsys, "oracle-check", "--input", str(path), "--trials", "1")
         assert code == 1
         assert "possible worlds" in err
 

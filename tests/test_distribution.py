@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ugmine as ug
-from ugmine.distribution import exp_of_pairs, phi_pr_of_pairs
+from ugmine.distribution import _batched_support, _MeasureGrids, exp_of_pairs, phi_pr_of_pairs
 from conftest import extend_subgraph, make_random_dataset, random_connected_subgraph
 
 PATH = ug.Subgraph.from_edges([(0, 1), (1, 2)])
@@ -261,6 +261,38 @@ class TestUpperBounds:
                         ug.measure_phi_pr(joint_s, spec, phi) - 1e-9
                     )
             checked += 1
+
+
+class TestMeasureGridRows:
+    @staticmethod
+    def laws(rng, k, m):
+        probs = rng.random((k, m)) ** 2
+        probs[rng.random(k) < 0.3] = 1.0  # certain rows put no mass on support 0
+        return _batched_support(probs)
+
+    def test_rows_independent_of_batch(self):
+        rng = np.random.default_rng(53)
+        n_pos, n_neg, k = 40, 30, 60
+        pos, neg = self.laws(rng, k, n_pos), self.laws(rng, k, n_neg)
+        subsets = [[i] for i in range(k)]
+        subsets += [np.sort(rng.choice(k, size, replace=False)) for size in (2, 7, 31, 59)]
+        phi = {"conf": 0.5, "ratio": 1.0, "gtest": 1.0, "hsic": 0.01}
+        inf_rows = 0
+        for kind in ug.SCORE_KINDS:
+            for cap in (0.0, 0.01):
+                score = ug.ScoreFunction(kind, cap)
+                grid = ug.score_grid(score, n_pos, n_neg)
+                env = ug.envelope_table(score, n_pos, n_neg)
+                for measure in (ug.MeasureSpec("exp"), ug.MeasureSpec("phi-pr", phi[kind])):
+                    grids = _MeasureGrids(measure, grid, env)
+                    values, bounds = grids.values(pos, neg), grids.bounds(pos, neg)
+                    inf_rows += int(np.isinf(values).sum())
+                    assert np.all(bounds >= values)
+                    for rows in subsets:
+                        assert np.array_equal(grids.values(pos[rows], neg[rows]), values[rows])
+                        assert np.array_equal(grids.bounds(pos[rows], neg[rows]), bounds[rows])
+        # uncapped ratio and gtest reach the +inf mask on some rows, not all
+        assert 0 < inf_rows < 4 * k
 
 
 class TestOracleAgreement:

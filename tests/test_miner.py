@@ -307,16 +307,21 @@ class TestFrequencyGate:
 
         monkeypatch.setattr(miner, "_batched_support", spy)
         for ds in self.datasets(31, 8):
-            for cfg in all_configs(min_sup=0.2):
-                rows.clear()
-                result = ug.mine(ds, cfg)
-                # calls come in (positive, negative) pairs over the same rows
-                pairs = list(zip(rows[::2], rows[1::2]))
-                dp_rows = sum(len(p) for p, _ in pairs)
-                assert dp_rows == result.stats.nodes_evaluated - result.stats.frequency_pruned
-                for p, n in pairs:
-                    freq = (p.sum(axis=1) + n.sum(axis=1)) / len(ds)
-                    assert np.all(freq > cfg.min_sup - 1e-12)
+            for base in all_configs(min_sup=0.2):
+                # the pruned run comes first and fixes the count: without
+                # frequency pruning only infrequent nodes are added
+                for cfg in (base, replace(base, frequency_pruning=False)):
+                    rows.clear()
+                    result = ug.mine(ds, cfg)
+                    # calls come in (positive, negative) pairs over the same rows
+                    pairs = list(zip(rows[::2], rows[1::2]))
+                    dp_rows = sum(len(p) for p, _ in pairs)
+                    if cfg.frequency_pruning:
+                        frequent = result.stats.nodes_evaluated - result.stats.frequency_pruned
+                    assert dp_rows == frequent
+                    for p, n in pairs:
+                        freq = (p.sum(axis=1) + n.sum(axis=1)) / len(ds)
+                        assert np.all(freq > cfg.min_sup - 1e-12)
 
     def test_bounds_without_frequency_pruning_match_exhaustive(self):
         for ds in self.datasets(37, 6):

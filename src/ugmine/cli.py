@@ -126,8 +126,10 @@ def _measure_and_score(args: argparse.Namespace) -> tuple[MeasureSpec, ScoreFunc
     """The measure and score of ``_add_measure_args``, with their defaults."""
     if args.phi is not None and args.measure != PHI_PROBABILITY:
         raise UsageError("--phi only applies to the phi-pr measure")
-    if args.cap_epsilon is not None and not args.cap_epsilon >= 0.0:
-        raise UsageError("--cap-epsilon must be >= 0")
+    if args.phi is not None and math.isnan(args.phi):
+        raise UsageError("--phi must be a number")
+    if args.cap_epsilon is not None and not 0.0 <= args.cap_epsilon < math.inf:
+        raise UsageError("--cap-epsilon must be finite and >= 0")
     phi = None
     if args.measure == PHI_PROBABILITY:
         phi = args.phi if args.phi is not None else PHI_DEFAULTS[args.score]
@@ -226,6 +228,8 @@ def _random_connected_subgraph(
 def _run_oracle_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if args.max_worlds < 1:
+        raise UsageError("--max-worlds must be >= 1")
     measure, score = _measure_and_score(args)
     dataset = _load_dataset(args.input)
     if dataset.n_pos < 1 or dataset.n_neg < 1:
@@ -258,6 +262,12 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _run_gen(args: argparse.Namespace) -> int:
+    for flag, p in (
+        ("--planted-prob-pos", args.planted_prob_pos),
+        ("--planted-prob-neg", args.planted_prob_neg),
+    ):
+        if not 0.0 < p <= 1.0:
+            raise UsageError(f"{flag} must lie in (0, 1]")
     dataset = make_preset(
         args.preset,
         seed=args.seed,

@@ -60,23 +60,26 @@ def _batched_support(probs: np.ndarray, counter: MultiplyAddCounter | None = Non
 
     ``probs`` holds one row of per-graph containment probabilities per
     feature; row i of the result is the law of feature i's support count,
-    entry s being Pr[exactly s successes]. Graph j is folded into every row at
-    once by the convolution recurrence
+    entry s being Pr[exactly s successes]. Each graph is folded into every
+    row at once by the convolution recurrence
 
         new[s] = (1 - p) * old[s] + p * old[s - 1]
 
-    over the j + 2 cells that can be nonzero, the bottom and top cells taking
-    their single surviving term: 2(j + 1) multiply-adds per row, m(m+1) for m
-    graphs. The table is kept graph-major, (m+1) x k, so every step works in
-    place on contiguous rows of length k.
+    A graph whose column is 0 in every row is skipped, since folding it is an
+    exact identity; cells above the number m' of folded graphs stay 0.
+    Folding the j-th graph (j = 1, 2, ...) updates the j + 1 cells that can
+    then be nonzero, the bottom and top ones taking their single surviving
+    term: 2j multiply-adds per row, m'(m'+1) in all. The table is kept
+    graph-major, (m+1) x k, so every step works in place on contiguous rows
+    of length k.
     """
     k, m = probs.shape
     dist = np.zeros((m + 1, k))
     dist[0] = 1.0
     scratch = np.empty((m, k))
     ops = 0
-    for j in range(m):
-        p = np.ascontiguousarray(probs[:, j])
+    for j, col in enumerate(np.flatnonzero(probs.any(axis=0)).tolist()):
+        p = np.ascontiguousarray(probs[:, col])
         q = 1.0 - p
         np.multiply(dist[j], p, out=dist[j + 1])
         shifted = np.multiply(dist[:j], p, out=scratch[:j])
@@ -95,8 +98,8 @@ def poisson_binomial(
 ) -> np.ndarray:
     """Distribution of the number of successes among independent Bernoulli trials.
 
-    Entry i of the result is Pr[exactly i successes]; m trials cost exactly
-    m(m+1) multiply-adds.
+    Entry i of the result is Pr[exactly i successes]; m trials of nonzero
+    probability cost exactly m(m+1) multiply-adds, and the others none.
     """
     return _batched_support(np.asarray(probs, dtype=float).reshape(1, -1), counter)[0]
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+import numpy as np
+
 Edge = tuple[int, int]
 
 
@@ -67,19 +69,33 @@ class CertainGraph:
             _check_edge(e, self.num_nodes, "certain graph")
 
     @cached_property
-    def incident(self) -> dict[int, tuple[Edge, ...]]:
-        """Incidence index: each non-isolated node's edges, ascending; built once."""
-        index: dict[int, list[Edge]] = {}
-        for e in sorted(self.edges):
-            index.setdefault(e[0], []).append(e)
-            index.setdefault(e[1], []).append(e)
-        return {n: tuple(es) for n, es in index.items()}
+    def columns(self) -> EdgeColumns:
+        """This graph's edges as columns, with an incidence index; built once."""
+        return EdgeColumns(self.edges)
 
     def extensions(self, edges: Iterable[Edge]) -> list[Edge]:
         """Edges of this graph touching the node set of ``edges`` but not in it, ascending."""
         own = set(edges)
-        incident = self.incident
-        return sorted({f for n in {n for e in own for n in e} for f in incident[n]} - own)
+        columns = self.columns
+        nodes = {n for e in own for n in e}
+        return sorted({columns.edges[j] for n in nodes for j in columns.incident[n].tolist()} - own)
+
+
+class EdgeColumns:
+    """A graph's edges numbered 0..E-1 in ascending edge order.
+
+    Comparing two columns compares their edges. ``incident`` holds the
+    columns of each non-isolated node, ascending.
+    """
+
+    def __init__(self, edges: Iterable[Edge]) -> None:
+        self.edges = sorted(edges)
+        self.column = {e: j for j, e in enumerate(self.edges)}
+        incident: dict[int, list[int]] = {}
+        for j, (u, v) in enumerate(self.edges):
+            incident.setdefault(u, []).append(j)
+            incident.setdefault(v, []).append(j)
+        self.incident = {n: np.array(js, dtype=np.intp) for n, js in incident.items()}
 
 
 def _connected(edges: Iterable[Edge]) -> bool:

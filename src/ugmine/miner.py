@@ -7,20 +7,25 @@ subgraph has a unique canonical parent (drop the largest edge whose removal
 keeps it connected), so each connected subgraph of the union graph is
 generated exactly once.
 
-Each child is generated from the universe's incidence index and accepted
-by a parent test on edge tuples; only accepted children become Subgraph
-objects. At every tree node the expected frequency is computed first. A node
-at or below min_sup is never a candidate, so the exact support distributions,
-the measure value and the bound are computed only for nodes above it, in one
-batch per child list: such a node is offered to a bounded best-t candidate
-list, and its subtree is cut when either the expected frequency falls to
-min_sup or below (sound by anti-monotonicity) or, for the expectation and
-phi-probability measures, the dominating upper bound cannot beat the current
-t-th best value.
+Children come from the universe's incidence index, as edge columns in
+ascending edge order. An extension is accepted when its column exceeds a
+threshold computed once per attach point (the reverse-search parent test of
+Avis & Fukuda, 1996). At every tree node the expected frequency is computed
+first. A node at or below min_sup is never a candidate, so the exact support
+distributions, the measure value and the bound are computed only for nodes
+above it, in one batch per child list: such a node is offered to a bounded
+best-t candidate list, and its subtree is cut when either the expected
+frequency falls to min_sup or below (sound by anti-monotonicity) or, for the
+expectation and phi-probability measures, the dominating upper bound cannot
+beat the current t-th best value. With frequency pruning on, an infrequent
+child is counted but never built: it gets no Subgraph and no tree node, and
+each frequent child carries the number of infrequent siblings visited just
+before it.
 
 ``SearchStats.nodes_evaluated`` counts every tree node whose expected
-frequency was computed, frequent or not; it is not the number of nodes that
-got a support distribution.
+frequency was computed, built or not, in visit order, so the counters and
+every ``theta_trace`` index are those of a walk that builds every child; it
+is not the number of nodes that got a support distribution.
 
 A feature's measure value and bound are a pure function of its own support
 laws: every row of a batch is contracted with the same arithmetic, whatever
@@ -34,12 +39,13 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .distribution import EXPECTATION, PHI_PROBABILITY, MeasureSpec, _batched_support, _MeasureGrids
-from .graphs import CertainGraph, Dataset, Edge, Subgraph, union_graph
+from .graphs import CertainGraph, Dataset, Edge, EdgeColumns, Subgraph, union_graph
 from .graphs import _connected as _edges_connected
 from .scores import ScoreFunction, envelope_table, score_grid
 
@@ -112,39 +118,77 @@ def canonical_parent(sub: Subgraph) -> Subgraph | None:
     raise AssertionError(f"no removable edge in connected subgraph {edges}")
 
 
-def _is_canonical_extension(edges: tuple[Edge, ...], e: Edge) -> bool:
-    """True iff the child ``edges`` + ``e`` has canonical parent ``edges``.
+def _threshold(columns: EdgeColumns, edges: tuple[Edge, ...], e: Edge) -> int:
+    """Column of the largest edge of ``edges`` removable from ``edges`` + ``e``.
 
-    Dropping ``e`` leaves the connected parent, so this holds iff no edge of
-    the parent larger than ``e`` can be dropped with the rest staying
-    connected; the test walks those edges from the largest down.
+    Removable means the rest stays connected; -1 when no edge of ``edges`` is.
     """
     child = edges + (e,)
     for i in range(len(edges) - 1, -1, -1):
-        if edges[i] < e:
-            break
         rest = child[:i] + child[i + 1 :]
-        if len(rest) == 1 or _edges_connected(rest):
-            return False
-    return True
+        if _edges_connected(rest):
+            return columns.column[edges[i]]
+    return -1
 
 
-def children(parent: Subgraph | None, universe: CertainGraph) -> list[Subgraph]:
+class _ChildList(Sequence):
+    """Children of one parent, held as the columns of their added edges.
+
+    ``added`` is ascending; a child's Subgraph is built only when it is read.
+    """
+
+    def __init__(self, parent: tuple[Edge, ...], added: np.ndarray, columns: EdgeColumns) -> None:
+        self.parent = parent
+        self.added = added
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.added)
+
+    def __getitem__(self, i: int) -> Subgraph:
+        e = self.columns.edges[self.added[i]]
+        return Subgraph._trusted(tuple(sorted(self.parent + (e,))))
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == other
+
+
+def children(parent: Subgraph | None, universe: CertainGraph) -> _ChildList:
     """Children of ``parent`` in the reverse-search tree over ``universe``.
 
     The root (None) owns every single-edge subgraph. Otherwise a child is the
-    parent plus one incident universe edge whose canonical parent is exactly
-    this parent, in ascending order of that edge; across the whole tree every
+    parent plus one incident universe edge e whose canonical parent is exactly
+    this parent, in ascending order of e; across the whole tree every
     connected subgraph of the universe appears exactly once.
+
+    Dropping e leaves the connected parent, so e is canonical iff it is larger
+    than every parent edge removable from parent + e. Which parent edges are
+    removable depends on e only through where it attaches: its one endpoint
+    in the parent for a pendant edge, both endpoints for a chord. So there is
+    one threshold per attach node and per chord, and the test is a comparison
+    of edge columns.
     """
+    columns = universe.columns
     if parent is None:
-        return [Subgraph._trusted((e,)) for e in sorted(universe.edges)]
+        return _ChildList((), np.arange(len(columns.edges)), columns)
     edges = parent.edges
-    return [
-        Subgraph._trusted(tuple(sorted(edges + (e,))))
-        for e in universe.extensions(edges)
-        if _is_canonical_extension(edges, e)
-    ]
+    nodes = sorted(parent.nodes)
+    incident = [columns.incident[a] for a in nodes]
+    near = np.concatenate(incident)
+    # a pendant edge's threshold is its attach node's; -1 stands for its new node
+    per_node = [_threshold(columns, edges, (a, -1)) for a in nodes]
+    threshold = np.repeat(per_node, [len(js) for js in incident])
+    order = near.argsort()
+    near, threshold = near[order], threshold[order]
+    # a column listed twice joins two parent nodes: a parent edge or a chord;
+    # the bar len(columns.edges) rejects the second copy and parent edges
+    bar = len(columns.edges)
+    own = set(edges)
+    for i in np.flatnonzero(near[1:] == near[:-1]).tolist():
+        e = columns.edges[near[i]]
+        threshold[i] = bar if e in own else _threshold(columns, edges, e)
+        threshold[i + 1] = bar
+    return _ChildList(edges, near[near > threshold], columns)
 
 
 @dataclass(slots=True)
@@ -152,6 +196,9 @@ class _Node:
     sub: Subgraph
     contain: np.ndarray
     exp_freq: float
+    # Infrequent siblings visited just before this node; with frequency
+    # pruning they are counted but never built.
+    skipped: int = 0
     # Computed only above min_sup; below it the value is nan, the bound +inf
     # (never bound-pruned) and the distributions None.
     value: float = math.nan
@@ -194,28 +241,39 @@ class _Evaluator:
         self.pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
         self.neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
         self.min_sup = cfg.min_sup
+        self.frequency_pruning = cfg.frequency_pruning
         self.with_bounds = with_bounds
         n_pos, n_neg = len(self.pos_cols), len(self.neg_cols)
         envelope = envelope_table(cfg.score, n_pos, n_neg) if with_bounds else None
         self.grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, n_pos, n_neg), envelope)
 
-    def evaluate(self, subs: list[Subgraph], contain: np.ndarray) -> list[_Node]:
-        """Nodes for ``subs``, whose containment rows are ``contain``."""
+    def evaluate(self, kids: _ChildList, contain: np.ndarray) -> list[_Node | int]:
+        """Stack entries for ``kids``, whose containment rows are ``contain``, in visit order.
+
+        With frequency pruning only the children above min_sup become nodes;
+        a trailing int counts the infrequent children after the last of them.
+        """
         exp_freq = contain.mean(axis=1)
-        nodes = [_Node(*args) for args in zip(subs, contain, exp_freq.tolist())]
         live = np.flatnonzero(exp_freq > self.min_sup)
+        built = live.tolist() if self.frequency_pruning else range(len(kids))
+        nodes, prev = [], -1
+        for i in built:
+            nodes.append(_Node(kids[i], contain[i], float(exp_freq[i]), i - prev - 1))
+            prev = i
         if len(live):
             rows = contain[live]
             pos = _batched_support(rows[:, self.pos_cols])
             neg = _batched_support(rows[:, self.neg_cols])
             values = self.grids.values(pos, neg)
             bounds = self.grids.bounds(pos, neg) if self.with_bounds else None
-            for j, i in enumerate(live):
-                node = nodes[i]
+            frequent = nodes if self.frequency_pruning else [nodes[i] for i in live]
+            for j, node in enumerate(frequent):
                 node.value = float(values[j])
                 if bounds is not None:
                     node.bound = float(bounds[j])
                 node.pos_dist, node.neg_dist = pos[j], neg[j]
+        if prev + 1 < len(kids):
+            return nodes + [len(kids) - prev - 1]
         return nodes
 
 
@@ -225,37 +283,39 @@ def _search(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
     stats = SearchStats()
     cands = _CandidateList(cfg.t)
     universe = union_graph(dataset)
-    edges = sorted(universe.edges)
-    if not edges:
+    if not universe.edges:
         return MiningResult((), stats)
 
-    col = {e: j for j, e in enumerate(edges)}
-    probs = np.zeros((len(dataset), len(edges)))
+    # one row of per-graph containment probabilities per universe edge
+    col = universe.columns.column
+    probs = np.zeros((len(col), len(dataset)))
     for i, g in enumerate(dataset.graphs):
         for e, p in g.edges.items():
-            probs[i, col[e]] = p
+            probs[col[e], i] = p
 
     bound_active = cfg.bound_pruning and cfg.measure.kind in (EXPECTATION, PHI_PROBABILITY)
     evaluator = _Evaluator(dataset, cfg, bound_active)
 
-    stack = evaluator.evaluate(children(None, universe), probs.T.copy())
+    stack = evaluator.evaluate(children(None, universe), probs)
     stack.reverse()
 
     theta = -math.inf
     while stack:
         node = stack.pop()
-        stats.nodes_evaluated += 1
-        # Features at or below min_sup are never candidates; the pruning
-        # switch only controls whether their subtrees are still explored.
+        if type(node) is int:  # infrequent children after the last frequent one
+            stats.nodes_evaluated += node
+            stats.frequency_pruned += node
+            continue
+        stats.nodes_evaluated += node.skipped + 1
+        stats.frequency_pruned += node.skipped
+        # A node at or below min_sup exists only without frequency pruning:
+        # it is never a candidate, but its subtree is still explored.
         if node.exp_freq > cfg.min_sup:
             cands.offer(node)
             if cands.theta() != theta:
                 theta = cands.theta()
                 stats.theta_trace.append((stats.nodes_evaluated, theta))
 
-        if cfg.frequency_pruning and node.exp_freq <= cfg.min_sup:
-            stats.frequency_pruned += 1
-            continue
         if bound_active and node.bound < theta:
             stats.bound_pruned += 1
             continue
@@ -263,12 +323,9 @@ def _search(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
             continue
 
         kids = children(node.sub, universe)
-        if kids:
-            own = set(node.sub.edges)
-            added = [e for k in kids for e in k.edges if e not in own]
-            contain = node.contain * probs[:, [col[e] for e in added]].T
-            child_nodes = evaluator.evaluate(kids, contain)
-            stack.extend(reversed(child_nodes))
+        if len(kids):
+            entries = evaluator.evaluate(kids, node.contain * probs[kids.added])
+            stack.extend(reversed(entries))
 
     return MiningResult(cands.export(cfg.keep_joints), stats)
 

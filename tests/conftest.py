@@ -2,18 +2,32 @@
 
 The enumeration helpers here are deliberately written without reusing library
 internals (own connectivity check, own subset walk) so they can serve as
-independent references for the miner and the distribution code.
+independent references for the miner and the distribution code. The one
+exception, ``eager_search``, reuses the measure kernel so that its values
+equal the miner's bit for bit; its traversal and bookkeeping are its own.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ugmine import Dataset, Subgraph, UncertainGraph, fig2_dataset
+from ugmine import (
+    Dataset,
+    Subgraph,
+    UncertainGraph,
+    canonical_parent,
+    envelope_table,
+    fig2_dataset,
+    score_grid,
+    union_graph,
+)
+from ugmine.distribution import _batched_support, _MeasureGrids
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -110,3 +124,80 @@ def extend_subgraph(
     if len(edges) == len(sub.edges):
         return None
     return Subgraph(tuple(sorted(edges)))
+
+
+def reference_children(parent: Subgraph, universe) -> list[Subgraph]:
+    """Children by definition: each incident edge e, ascending, whose
+    extension P+e has canonical parent P."""
+    nodes = parent.nodes
+    out = []
+    for e in sorted(universe.edges):
+        if e in parent.edges or (e[0] not in nodes and e[1] not in nodes):
+            continue
+        cand = Subgraph(tuple(sorted(parent.edges + (e,))))
+        if canonical_parent(cand) == parent:
+            out.append(cand)
+    return out
+
+
+def eager_search(dataset: Dataset, cfg) -> tuple:
+    """Reference traversal that builds every child, frequent or not.
+
+    The tree comes from ``reference_children``; a node's containment row is
+    its parent's times the added edge's probabilities, and its measure value
+    and bound come from the library kernel applied to that row alone, so they
+    equal the miner's bit for bit. Returns (features as (edges, value) pairs,
+    nodes_evaluated, frequency_pruned, bound_pruned, theta_trace).
+    """
+    pos = [i for i, y in enumerate(dataset.labels) if y == 1]
+    neg = [i for i, y in enumerate(dataset.labels) if y == -1]
+    linear = cfg.measure.kind in ("exp", "phi-pr")
+    bounded = cfg.bound_pruning and linear
+    grids = _MeasureGrids(
+        cfg.measure,
+        score_grid(cfg.score, len(pos), len(neg)),
+        envelope_table(cfg.score, len(pos), len(neg)) if linear else None,
+    )
+    universe = union_graph(dataset)
+    universe_edges = sorted(universe.edges)
+    edge_probs = {
+        e: np.array([g.edges.get(e, 0.0) for g in dataset.graphs]) for e in universe_edges
+    }
+
+    kept: list[tuple[tuple, float]] = []  # ((-value, size, edges), value), best first
+    theta = -math.inf
+    trace = []
+    evaluated = freq_pruned = bound_pruned = 0
+    stack = [(Subgraph((e,)), edge_probs[e]) for e in reversed(universe_edges)]
+    while stack:
+        sub, contain = stack.pop()
+        evaluated += 1
+        exp_freq = contain.mean()
+        frequent = exp_freq > cfg.min_sup
+        bound = math.inf
+        if frequent:
+            p = _batched_support(contain[pos][None, :])
+            n = _batched_support(contain[neg][None, :])
+            value = float(grids.values(p, n)[0])
+            if bounded:
+                bound = float(grids.bounds(p, n)[0])
+            kept.append(((-value, len(sub.edges), sub.edges), value))
+            kept = sorted(kept)[: cfg.t]
+            new_theta = kept[-1][1] if len(kept) == cfg.t else -math.inf
+            if new_theta != theta:
+                theta = new_theta
+                trace.append((evaluated, theta))
+        if cfg.frequency_pruning and not frequent:
+            freq_pruned += 1
+            continue
+        if bounded and bound < theta:
+            bound_pruned += 1
+            continue
+        if cfg.max_edges is not None and len(sub.edges) >= cfg.max_edges:
+            continue
+        kids = reference_children(sub, universe)
+        for kid in reversed(kids):
+            (added,) = set(kid.edges) - set(sub.edges)
+            stack.append((kid, contain * edge_probs[added]))
+    features = [(key[2], value) for key, value in kept]
+    return features, evaluated, freq_pruned, bound_pruned, trace

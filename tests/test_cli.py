@@ -145,6 +145,43 @@ class TestUsageErrors:
         assert err.startswith("error:") and flag in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("mine", ("--phi", "nan")),
+            ("evaluate", ("--phi", "nan")),
+            ("mine", ("--measure", "exp", "--cap-epsilon", "inf")),
+            ("mine", ("--cap-epsilon", "inf")),
+            ("mine", ("--cap-epsilon", "nan")),
+            ("oracle-check", ("--cap-epsilon", "inf")),
+            ("oracle-check", ("--max-worlds", "0")),
+            ("oracle-check", ("--max-worlds", "-1")),
+        ],
+    )
+    def test_unusable_measure_or_budget_flag(self, capsys, fig2_file, command, flags):
+        code, out, err = run(capsys, command, "--input", fig2_file, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flags[-2] in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("preset", ug.PRESETS)
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--planted-prob-pos", "2"),
+            ("--planted-prob-pos", "0"),
+            ("--planted-prob-neg", "-0.5"),
+            ("--planted-prob-neg", "nan"),
+        ],
+    )
+    def test_planted_prob_out_of_range(self, capsys, preset, flag, value):
+        code, out, err = run(capsys, "gen", "--preset", preset, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+        assert err.count("\n") == 1
+
     def test_boolean_label_in_dataset(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"num_nodes": 3, "graphs": [{"label": true, "edges": [[0, 1, 0.5]]}]}')

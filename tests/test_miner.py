@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from dataclasses import replace
@@ -10,10 +11,14 @@ import ugmine as ug
 import ugmine.miner as miner
 from ugmine.distribution import _batched_support
 from conftest import (
+    DATA_DIR,
+    _subset_connected,
     all_pairs,
     connected_edge_subsets,
+    eager_search,
     make_random_dataset,
     random_connected_subgraph,
+    reference_children,
 )
 
 TRIANGLE = ug.CertainGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
@@ -29,20 +34,6 @@ def walk_tree(universe):
         for child in ug.children(node, universe):
             out.append((node, child))
             stack.append(child)
-    return out
-
-
-def reference_children(parent, universe):
-    """Children by definition: each incident edge e, ascending, whose
-    extension P+e has canonical parent P."""
-    nodes = parent.nodes
-    out = []
-    for e in sorted(universe.edges):
-        if e in parent.edges or (e[0] not in nodes and e[1] not in nodes):
-            continue
-        cand = ug.Subgraph(tuple(sorted(parent.edges + (e,))))
-        if ug.canonical_parent(cand) == parent:
-            out.append(cand)
     return out
 
 
@@ -128,6 +119,61 @@ class TestChildren:
                 assert kids == reference_children(parent, universe)
                 for k in kids:
                     assert ug.Subgraph(k.edges) == k
+
+
+def cyclic_universe(rng):
+    """Rings of 3-5 nodes joined by bridge paths, plus a few chords."""
+    edges, rings, top = set(), [], 0
+    for _ in range(rng.randint(2, 4)):
+        ring = list(range(top, top + rng.randint(3, 5)))
+        top = ring[-1] + 1
+        edges |= {ug.make_edge(a, b) for a, b in zip(ring, ring[1:] + ring[:1])}
+        if rings:
+            a, b = rng.choice(rng.choice(rings)), rng.choice(ring)
+            if rng.random() < 0.5:
+                edges.add(ug.make_edge(a, b))
+            else:
+                edges |= {ug.make_edge(a, top), ug.make_edge(top, b)}
+                top += 1
+        rings.append(ring)
+    pairs = all_pairs(top)
+    edges |= set(rng.sample(pairs, rng.randint(0, 2)))
+    return ug.CertainGraph(top, frozenset(edges))
+
+
+class TestThresholdRule:
+    """Children accepted by one threshold per attach point equal the
+    canonical_parent definition, in order."""
+
+    @staticmethod
+    def universes():
+        rng = random.Random(43)
+        for preset in ("adhd-like", "adni-like", "hiv-like"):
+            universe = ug.union_graph(ug.make_preset(preset, seed=0))
+            yield rng, universe, 40
+        for _ in range(40):
+            yield rng, cyclic_universe(rng), 8
+
+    def test_matches_definition(self):
+        chords = bridged = 0
+        for rng, universe, count in self.universes():
+            edges = sorted(universe.edges)
+            for _ in range(count):
+                parent = random_connected_subgraph(rng, edges, max_size=6)
+                nodes = parent.nodes
+                expected = reference_children(parent, universe)
+                assert list(ug.children(parent, universe)) == expected
+                chords += sum(
+                    1 for e in universe.extensions(parent.edges)
+                    if e[0] in nodes and e[1] in nodes
+                )
+                # a non-pendant bridge: dropping it disconnects the rest
+                bridged += len(parent.edges) > 1 and any(
+                    not _subset_connected(parent.edges[:i] + parent.edges[i + 1 :])
+                    for i in range(len(parent.edges))
+                )
+        # the draw covers the attach points that need their own threshold
+        assert chords > 100 and bridged > 20
 
 
 class TestMine:
@@ -287,6 +333,25 @@ class TestBatchedSupport:
         batched = _batched_support(probs)
         assert batched.sum(axis=1) == pytest.approx(np.ones(7), abs=1e-9)
 
+    def test_skips_all_zero_columns(self):
+        rng = random.Random(47)
+        for k, m in [(1, 6), (3, 10), (8, 25)]:
+            probs = np.array([[rng.random() for _ in range(m)] for _ in range(k)])
+            zero = sorted(rng.sample(range(m), m // 2))
+            probs[:, zero] = 0.0
+            if k > 1:
+                # a column zero in some rows only is folded, not skipped
+                probs[0, [j for j in range(m) if j not in zero][0]] = 0.0
+            nonzero = probs[:, [j for j in range(m) if j not in zero]]
+            m_folded = nonzero.shape[1]
+            counter = ug.MultiplyAddCounter()
+            full = _batched_support(probs, counter)
+            padded = np.zeros((k, m + 1))
+            padded[:, : m_folded + 1] = _batched_support(nonzero)
+            assert full.shape == (k, m + 1)
+            assert full.tobytes() == padded.tobytes()
+            assert counter.count == k * m_folded * (m_folded + 1)
+
 
 class TestFrequencyGate:
     @staticmethod
@@ -345,3 +410,75 @@ class TestFrequencyGate:
                     for f in run(ds, replace(cfg, keep_joints=True)).features:
                         bf = ug.oracle_joint(f.subgraph, ds)
                         assert np.max(np.abs(f.joint - bf)) <= 1e-9
+
+
+class TestLazyCounts:
+    """Infrequent children are counted, not built: the search keeps the
+    counters and the theta trace of a walk that builds every child."""
+
+    @staticmethod
+    def datasets():
+        rng = random.Random(53)
+        for _ in range(6):
+            yield make_random_dataset(
+                rng, n_graphs=rng.randint(8, 12), num_nodes=7, max_edges=10, prob_lo=0.5
+            )
+
+    @staticmethod
+    def configs():
+        measures = [
+            (ug.MeasureSpec("exp"), ug.ScoreFunction("conf")),
+            (ug.MeasureSpec("phi-pr", 1.0), ug.ScoreFunction("ratio")),
+            (ug.MeasureSpec("median"), ug.ScoreFunction("hsic")),
+        ]
+        for measure, score in measures:
+            for max_edges in (None, 2, 3):
+                for t in (1, 10):
+                    yield ug.MiningConfig(
+                        t=t, min_sup=0.15, measure=measure, score=score, max_edges=max_edges
+                    )
+
+    def test_counts_match_eager_walk(self):
+        skipped = bound_cut = 0
+        for ds in self.datasets():
+            for cfg in self.configs():
+                result = ug.mine(ds, cfg)
+                features, evaluated, freq_pruned, bound_pruned, trace = eager_search(ds, cfg)
+                stats = result.stats
+                assert stats.nodes_evaluated == evaluated
+                assert stats.frequency_pruned == freq_pruned
+                assert stats.bound_pruned == bound_pruned
+                assert stats.theta_trace == trace
+                assert [(f.subgraph.edges, f.measure_value) for f in result.features] == features
+                skipped += freq_pruned
+                bound_cut += bound_pruned
+        assert skipped > 5000 and bound_cut > 100
+
+
+class TestGoldenDeepRun:
+    """hiv-like seed 0, phi-pr/ratio, min_sup 0.1, max_edges 2, against output
+    recorded before the threshold test and lazy children were introduced."""
+
+    def test_matches_golden(self):
+        golden = json.loads((DATA_DIR / "hiv_like_s0_ms01_e2.json").read_text())
+        cfg = ug.MiningConfig(
+            t=golden["top"],
+            min_sup=golden["min_sup"],
+            measure=ug.MeasureSpec(golden["measure"], golden["phi"]),
+            score=ug.ScoreFunction(golden["score"], golden["cap_epsilon"]),
+            max_edges=golden["max_edges"],
+        )
+        result = ug.mine(ug.make_preset(golden["preset"], seed=golden["seed"]), cfg)
+        stats = result.stats
+        assert {
+            "nodes_evaluated": stats.nodes_evaluated,
+            "frequency_pruned": stats.frequency_pruned,
+            "bound_pruned": stats.bound_pruned,
+        } == golden["stats"]
+        expected = golden["features"]
+        assert [[list(e) for e in f.subgraph.edges] for f in result.features] == [
+            f["edges"] for f in expected
+        ]
+        assert [f.exp_freq for f in result.features] == [f["exp_freq"] for f in expected]
+        for f, g in zip(result.features, expected):
+            assert abs(f.measure_value - g["measure_value"]) <= 1e-12

@@ -58,13 +58,13 @@ def export_csv(matrix: FeatureMatrix) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def train_logistic_regression(
-    x: np.ndarray,
-    y: np.ndarray,
-    l2: float = 0.01,
-    learning_rate: float = 0.5,
-    iterations: int = 400,
-) -> tuple[np.ndarray, float]:
+# L2 penalty on the weights, gradient-descent step size and iteration budget
+L2 = 0.01
+LEARNING_RATE = 0.5
+ITERATIONS = 400
+
+
+def train_logistic_regression(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Full-batch gradient descent on the regularized logistic loss.
 
     ``y`` holds 0/1 targets. The intercept is not regularized. The schedule is
@@ -73,14 +73,14 @@ def train_logistic_regression(
     n, m = x.shape
     w = np.zeros(m)
     b = 0.0
-    for _ in range(iterations):
+    for _ in range(ITERATIONS):
         z = x @ w + b
         pred = 1.0 / (1.0 + np.exp(-z))
         err = pred - y
-        grad_w = x.T @ err / n + l2 * w
+        grad_w = x.T @ err / n + L2 * w
         grad_b = float(err.mean())
-        w -= learning_rate * grad_w
-        b -= learning_rate * grad_b
+        w -= LEARNING_RATE * grad_w
+        b -= LEARNING_RATE * grad_b
         if np.abs(grad_w).max(initial=0.0) < 1e-9 and abs(grad_b) < 1e-9:
             break
     return w, b

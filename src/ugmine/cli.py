@@ -34,7 +34,7 @@ from .graphs import (
     serialize_dataset,
     union_graph,
 )
-from .miner import MiningConfig, MiningResult, mine
+from .miner import MiningConfig, MiningResult, mine, mine_exhaustive
 from .oracle import DEFAULT_MAX_WORLDS, WorldCountError, oracle_joint, oracle_measure
 from .scores import SCORE_KINDS, ScoreFunction
 from .synth import PRESETS, dataset_stats, make_preset
@@ -44,6 +44,11 @@ PHI_DEFAULTS = {"hsic": 0.03, "gtest": 200.0, "ratio": 1.0, "conf": 0.5}
 
 class UsageError(Exception):
     """Invalid flag combination or unusable input path."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _json_value(x: float) -> float | str:
@@ -68,11 +73,10 @@ def _add_mining_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--top", type=int, default=100, help="number of features to keep")
     p.add_argument("--min-sup", type=float, default=0.2, help="minimum expected frequency")
     p.add_argument("--max-edges", type=int, default=None)
-    p.add_argument("--no-prune", action="store_true", help="disable all subtree pruning")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ugmine",
         description="Discriminative subgraph mining over uncertain graph datasets",
     )
@@ -81,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="mine top-t discriminative subgraph features")
     _add_dataset_arg(p)
     _add_mining_args(p)
+    p.add_argument("--no-prune", action="store_true", help="run the exhaustive reference search")
     p.add_argument("--out", help="write the JSON feature list here instead of stdout")
 
     p = sub.add_parser("oracle-check", help="compare the DP route against brute-force worlds")
@@ -156,8 +161,6 @@ def _mining_config(args: argparse.Namespace) -> MiningConfig:
         measure=measure,
         score=score,
         max_edges=args.max_edges,
-        frequency_pruning=not args.no_prune,
-        bound_pruning=not args.no_prune,
     )
 
 
@@ -186,18 +189,21 @@ def _feature_payload(result: MiningResult, cfg: MiningConfig) -> dict:
     }
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(data: str | bytes, out: str | None) -> None:
+    """Write ``data`` to stdout, or to the file ``out`` when one is given."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("utf-8"))
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(data)
 
 
 def _run_mine(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.input)
     cfg = _mining_config(args)
-    result = mine(dataset, cfg)
+    result = (mine_exhaustive if args.no_prune else mine)(dataset, cfg)
     print(f"{'rank':>4}  {'measure':>14}  {'exp_freq':>10}  edges")
     for i, f in enumerate(result.features):
         edges = " ".join(f"({u},{v})" for u, v in f.subgraph.edges)
@@ -280,12 +286,7 @@ def _run_gen(args: argparse.Namespace) -> int:
             }
         ),
     )
-    data = serialize_dataset(dataset)
-    if args.out is None:
-        sys.stdout.write(data.decode("utf-8"))
-    else:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+    _emit(serialize_dataset(dataset), args.out)
     return 0
 
 
@@ -310,13 +311,7 @@ def _run_featurize(args: argparse.Namespace) -> int:
     features = _load_features(args.features)
     if not features:
         raise UsageError("features file holds no features")
-    matrix = featurize(dataset, features)
-    data = export_csv(matrix)
-    if args.out is None:
-        sys.stdout.write(data.decode("utf-8"))
-    else:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+    _emit(export_csv(featurize(dataset, features)), args.out)
     return 0
 
 
@@ -380,13 +375,11 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return _RUNNERS[args.command](args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

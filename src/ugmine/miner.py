@@ -10,22 +10,21 @@ generated exactly once.
 Children come from the universe's incidence index, as edge columns in
 ascending edge order. An extension is accepted when its column exceeds a
 threshold computed once per attach point (the reverse-search parent test of
-Avis & Fukuda, 1996). At every tree node the expected frequency is computed
-first. A node at or below min_sup is never a candidate, so the exact support
-distributions, the measure value and the bound are computed only for nodes
-above it, in one batch per child list: such a node is offered to a bounded
-best-t candidate list, and its subtree is cut when either the expected
-frequency falls to min_sup or below (sound by anti-monotonicity) or, for the
-expectation and phi-probability measures, the dominating upper bound cannot
-beat the current t-th best value. With frequency pruning on, an infrequent
-child is counted but never built: it gets no Subgraph and no tree node, and
-each frequent child carries the number of infrequent siblings visited just
-before it.
+Avis & Fukuda, 1996). When a node is expanded, the expected frequencies of
+its whole child list are computed at once, and every child in the list is
+counted then. A child at or below min_sup is never a candidate and, since
+expected frequency is anti-monotone, neither is any of its descendants: the
+pruned search (``mine``) builds only the children above it, and the exhaustive
+reference (``mine_exhaustive``) builds and expands them all. The exact support
+distributions, the measure value and the bound are computed only for children
+above min_sup, in one batch per child list. Such a child is offered to a
+bounded best-t candidate list when it is popped, and ``mine`` cuts its subtree
+when, for the expectation and phi-probability measures, the dominating upper
+bound cannot beat the current t-th best value.
 
 ``SearchStats.nodes_evaluated`` counts every tree node whose expected
-frequency was computed, built or not, in visit order, so the counters and
-every ``theta_trace`` index are those of a walk that builds every child; it
-is not the number of nodes that got a support distribution.
+frequency was computed, built or not; a ``theta_trace`` index is that count
+when θ changed, so it advances by whole child lists.
 
 A feature's measure value and bound are a pure function of its own support
 laws: every row of a batch is contracted with the same arithmetic, whatever
@@ -40,14 +39,14 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distribution import EXPECTATION, PHI_PROBABILITY, MeasureSpec, _batched_support, _MeasureGrids
 from .graphs import CertainGraph, Dataset, Edge, EdgeColumns, Subgraph, union_graph
 from .graphs import _connected as _edges_connected
-from .scores import ScoreFunction, envelope_table, score_grid
+from .scores import ScoreFunction, envelope_from_grid, score_grid
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,7 @@ class MiningConfig:
     measure: MeasureSpec
     score: ScoreFunction
     max_edges: int | None = None
-    frequency_pruning: bool = True
     bound_pruning: bool = True
-    keep_joints: bool = False
 
     def __post_init__(self) -> None:
         if self.t < 1:
@@ -74,12 +71,22 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class MinedFeature:
-    """One mined subgraph with its measure value and support summary."""
+    """One mined subgraph with its measure value and support summary.
+
+    ``pos_dist`` and ``neg_dist`` are the exact laws of its positive and
+    negative support counts.
+    """
 
     subgraph: Subgraph
     measure_value: float
     exp_freq: float
-    joint: np.ndarray | None = field(default=None, compare=False)
+    pos_dist: np.ndarray = field(compare=False)
+    neg_dist: np.ndarray = field(compare=False)
+
+    @property
+    def joint(self) -> np.ndarray:
+        """Joint law of (positive, negative) support; the classes are independent."""
+        return np.outer(self.pos_dist, self.neg_dist)
 
 
 @dataclass
@@ -196,11 +203,9 @@ class _Node:
     sub: Subgraph
     contain: np.ndarray
     exp_freq: float
-    # Infrequent siblings visited just before this node; with frequency
-    # pruning they are counted but never built.
-    skipped: int = 0
-    # Computed only above min_sup; below it the value is nan, the bound +inf
-    # (never bound-pruned) and the distributions None.
+    # Computed only above min_sup, the bound only when bound pruning is on;
+    # otherwise the value is nan, the bound +inf (never bound-pruned) and the
+    # distributions None.
     value: float = math.nan
     bound: float = math.inf
     pos_dist: np.ndarray | None = None
@@ -228,56 +233,14 @@ class _CandidateList:
         if len(self.entries) > self.t:
             self.entries.pop()
 
-    def export(self, keep_joints: bool) -> tuple[MinedFeature, ...]:
-        out = []
-        for _, node in self.entries:
-            joint = np.outer(node.pos_dist, node.neg_dist) if keep_joints else None
-            out.append(MinedFeature(node.sub, node.value, node.exp_freq, joint))
-        return tuple(out)
+    def export(self) -> tuple[MinedFeature, ...]:
+        return tuple(
+            MinedFeature(n.sub, n.value, n.exp_freq, n.pos_dist, n.neg_dist)
+            for _, n in self.entries
+        )
 
 
-class _Evaluator:
-    def __init__(self, dataset: Dataset, cfg: MiningConfig, with_bounds: bool) -> None:
-        self.pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
-        self.neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
-        self.min_sup = cfg.min_sup
-        self.frequency_pruning = cfg.frequency_pruning
-        self.with_bounds = with_bounds
-        n_pos, n_neg = len(self.pos_cols), len(self.neg_cols)
-        envelope = envelope_table(cfg.score, n_pos, n_neg) if with_bounds else None
-        self.grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, n_pos, n_neg), envelope)
-
-    def evaluate(self, kids: _ChildList, contain: np.ndarray) -> list[_Node | int]:
-        """Stack entries for ``kids``, whose containment rows are ``contain``, in visit order.
-
-        With frequency pruning only the children above min_sup become nodes;
-        a trailing int counts the infrequent children after the last of them.
-        """
-        exp_freq = contain.mean(axis=1)
-        live = np.flatnonzero(exp_freq > self.min_sup)
-        built = live.tolist() if self.frequency_pruning else range(len(kids))
-        nodes, prev = [], -1
-        for i in built:
-            nodes.append(_Node(kids[i], contain[i], float(exp_freq[i]), i - prev - 1))
-            prev = i
-        if len(live):
-            rows = contain[live]
-            pos = _batched_support(rows[:, self.pos_cols])
-            neg = _batched_support(rows[:, self.neg_cols])
-            values = self.grids.values(pos, neg)
-            bounds = self.grids.bounds(pos, neg) if self.with_bounds else None
-            frequent = nodes if self.frequency_pruning else [nodes[i] for i in live]
-            for j, node in enumerate(frequent):
-                node.value = float(values[j])
-                if bounds is not None:
-                    node.bound = float(bounds[j])
-                node.pos_dist, node.neg_dist = pos[j], neg[j]
-        if prev + 1 < len(kids):
-            return nodes + [len(kids) - prev - 1]
-        return nodes
-
-
-def _search(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
+def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
     if dataset.n_pos < 1 or dataset.n_neg < 1:
         raise ValueError("mining requires at least one graph of each class")
     stats = SearchStats()
@@ -290,33 +253,50 @@ def _search(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
     col = universe.columns.column
     probs = np.zeros((len(col), len(dataset)))
     for i, g in enumerate(dataset.graphs):
-        for e, p in g.edges.items():
-            probs[col[e], i] = p
+        probs[[col[e] for e in g.edges], i] = list(g.edges.values())
 
-    bound_active = cfg.bound_pruning and cfg.measure.kind in (EXPECTATION, PHI_PROBABILITY)
-    evaluator = _Evaluator(dataset, cfg, bound_active)
+    pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
+    neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
+    grid = score_grid(cfg.score, len(pos_cols), len(neg_cols))
+    bounded = prune and cfg.bound_pruning and cfg.measure.kind in (EXPECTATION, PHI_PROBABILITY)
+    grids = _MeasureGrids(cfg.measure, grid, envelope_from_grid(grid) if bounded else None)
 
-    stack = evaluator.evaluate(children(None, universe), probs)
-    stack.reverse()
+    def expand(kids: _ChildList, contain: np.ndarray) -> list[_Node]:
+        """Nodes for ``kids``, whose containment rows are ``contain``, last child first.
 
+        Every child is counted here; one at or below min_sup is built only
+        by the exhaustive search.
+        """
+        exp_freq = contain.mean(axis=1)
+        live = np.flatnonzero(exp_freq > cfg.min_sup)
+        built = live.tolist() if prune else range(len(kids))
+        nodes = [_Node(kids[i], contain[i], float(exp_freq[i])) for i in built]
+        stats.nodes_evaluated += len(kids)
+        stats.frequency_pruned += len(kids) - len(nodes)
+        if len(live):
+            rows = contain[live]
+            pos = _batched_support(rows[:, pos_cols])
+            neg = _batched_support(rows[:, neg_cols])
+            values = grids.values(pos, neg).tolist()
+            bounds = grids.bounds(pos, neg).tolist() if bounded else [math.inf] * len(live)
+            frequent = [node for node in nodes if node.exp_freq > cfg.min_sup]
+            for node, value, bound, p, n in zip(frequent, values, bounds, pos, neg):
+                node.value, node.bound, node.pos_dist, node.neg_dist = value, bound, p, n
+        nodes.reverse()
+        return nodes
+
+    stack = expand(children(None, universe), probs)
     theta = -math.inf
     while stack:
         node = stack.pop()
-        if type(node) is int:  # infrequent children after the last frequent one
-            stats.nodes_evaluated += node
-            stats.frequency_pruned += node
-            continue
-        stats.nodes_evaluated += node.skipped + 1
-        stats.frequency_pruned += node.skipped
-        # A node at or below min_sup exists only without frequency pruning:
-        # it is never a candidate, but its subtree is still explored.
+        # only the exhaustive search holds nodes at or below min_sup
         if node.exp_freq > cfg.min_sup:
             cands.offer(node)
             if cands.theta() != theta:
                 theta = cands.theta()
                 stats.theta_trace.append((stats.nodes_evaluated, theta))
 
-        if bound_active and node.bound < theta:
+        if node.bound < theta:
             stats.bound_pruned += 1
             continue
         if cfg.max_edges is not None and len(node.sub.edges) >= cfg.max_edges:
@@ -324,17 +304,16 @@ def _search(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
 
         kids = children(node.sub, universe)
         if len(kids):
-            entries = evaluator.evaluate(kids, node.contain * probs[kids.added])
-            stack.extend(reversed(entries))
+            stack += expand(kids, node.contain * probs[kids.added])
 
-    return MiningResult(cands.export(cfg.keep_joints), stats)
+    return MiningResult(cands.export(), stats)
 
 
 def mine(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
     """Mine the top-t features of the dataset under the given configuration."""
-    return _search(dataset, cfg)
+    return _search(dataset, cfg, prune=True)
 
 
 def mine_exhaustive(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
-    """Reference run with both pruning switches forced off; same output contract."""
-    return _search(dataset, replace(cfg, frequency_pruning=False, bound_pruning=False))
+    """Reference run that prunes nothing and ignores ``bound_pruning``; same output contract."""
+    return _search(dataset, cfg, prune=False)

@@ -128,12 +128,19 @@ def score_grid(spec: ScoreFunction, n_pos: int, n_neg: int) -> np.ndarray:
     return np.minimum(_raw_grid(spec, n_pos, n_neg), spec.cap)
 
 
+def envelope_from_grid(grid: np.ndarray) -> np.ndarray:
+    """Running maximum of a score grid: cell (a, b) is the max over a' <= a, b' <= b.
+
+    table[a][b] = max(grid[a][b], table[a-1][b], table[a][b-1]), in
+    O(n_pos * n_neg).
+    """
+    return np.maximum.accumulate(np.maximum.accumulate(grid, axis=0), axis=1)
+
+
 def envelope_table(spec: ScoreFunction, n_pos: int, n_neg: int) -> np.ndarray:
     """(n_pos+1) x (n_neg+1) matrix of upper_envelope values.
 
-    Built in O(n_pos * n_neg) by a running maximum over the raw score grid:
-    table[a][b] = max(raw(a, b), table[a-1][b], table[a][b-1]), capped last.
+    The running maximum of ``score_grid``. Capping commutes with max, so this
+    equals capping the running maximum of the raw scores, bit for bit.
     """
-    raw = _raw_grid(spec, n_pos, n_neg)
-    table = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
-    return np.minimum(table, spec.cap)
+    return envelope_from_grid(score_grid(spec, n_pos, n_neg))

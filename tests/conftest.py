@@ -141,13 +141,15 @@ def reference_children(parent: Subgraph, universe) -> list[Subgraph]:
 
 
 def eager_search(dataset: Dataset, cfg) -> tuple:
-    """Reference traversal that builds every child, frequent or not.
+    """Reference traversal that builds every child and counts a child list
+    when it pushes it.
 
     The tree comes from ``reference_children``; a node's containment row is
     its parent's times the added edge's probabilities, and its measure value
     and bound come from the library kernel applied to that row alone, so they
-    equal the miner's bit for bit. Returns (features as (edges, value) pairs,
-    nodes_evaluated, frequency_pruned, bound_pruned, theta_trace).
+    equal the miner's bit for bit. A node at or below min_sup is dropped when
+    popped. Returns (features as (edges, value) pairs, nodes_evaluated,
+    frequency_pruned, bound_pruned, theta_trace).
     """
     pos = [i for i, y in enumerate(dataset.labels) if y == 1]
     neg = [i for i, y in enumerate(dataset.labels) if y == -1]
@@ -167,35 +169,30 @@ def eager_search(dataset: Dataset, cfg) -> tuple:
     kept: list[tuple[tuple, float]] = []  # ((-value, size, edges), value), best first
     theta = -math.inf
     trace = []
-    evaluated = freq_pruned = bound_pruned = 0
+    freq_pruned = bound_pruned = 0
     stack = [(Subgraph((e,)), edge_probs[e]) for e in reversed(universe_edges)]
+    evaluated = len(stack)
     while stack:
         sub, contain = stack.pop()
-        evaluated += 1
-        exp_freq = contain.mean()
-        frequent = exp_freq > cfg.min_sup
-        bound = math.inf
-        if frequent:
-            p = _batched_support(contain[pos][None, :])
-            n = _batched_support(contain[neg][None, :])
-            value = float(grids.values(p, n)[0])
-            if bounded:
-                bound = float(grids.bounds(p, n)[0])
-            kept.append(((-value, len(sub.edges), sub.edges), value))
-            kept = sorted(kept)[: cfg.t]
-            new_theta = kept[-1][1] if len(kept) == cfg.t else -math.inf
-            if new_theta != theta:
-                theta = new_theta
-                trace.append((evaluated, theta))
-        if cfg.frequency_pruning and not frequent:
+        if contain.mean() <= cfg.min_sup:
             freq_pruned += 1
             continue
-        if bounded and bound < theta:
+        p = _batched_support(contain[pos][None, :])
+        n = _batched_support(contain[neg][None, :])
+        value = float(grids.values(p, n)[0])
+        kept.append(((-value, len(sub.edges), sub.edges), value))
+        kept = sorted(kept)[: cfg.t]
+        new_theta = kept[-1][1] if len(kept) == cfg.t else -math.inf
+        if new_theta != theta:
+            theta = new_theta
+            trace.append((evaluated, theta))
+        if bounded and float(grids.bounds(p, n)[0]) < theta:
             bound_pruned += 1
             continue
         if cfg.max_edges is not None and len(sub.edges) >= cfg.max_edges:
             continue
         kids = reference_children(sub, universe)
+        evaluated += len(kids)
         for kid in reversed(kids):
             (added,) = set(kid.edges) - set(sub.edges)
             stack.append((kid, contain * edge_probs[added]))

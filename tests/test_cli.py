@@ -182,6 +182,13 @@ class TestUsageErrors:
         assert err.startswith("error:") and flag in err
         assert err.count("\n") == 1
 
+    def test_evaluate_no_prune_removed(self, capsys, fig2_file):
+        code, out, err = run(capsys, "evaluate", "--input", fig2_file, "--no-prune")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--no-prune" in err
+        assert err.count("\n") == 1
+
     def test_boolean_label_in_dataset(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"num_nodes": 3, "graphs": [{"label": true, "edges": [[0, 1, 0.5]]}]}')

@@ -2,7 +2,6 @@ import functools
 import json
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,9 +209,7 @@ class TestMine:
         assert result.stats.nodes_evaluated == 3
 
     def test_keep_joints(self, fig2):
-        cfg = simple_cfg(t=1, min_sup=0.2, keep_joints=True)
-        feature = ug.mine(fig2, cfg).features[0]
-        assert feature.joint is not None
+        feature = ug.mine(fig2, simple_cfg(t=1, min_sup=0.2)).features[0]
         assert feature.joint.shape == (3, 3)
         assert feature.joint.sum() == pytest.approx(1.0, abs=1e-9)
         bf = ug.oracle_joint(feature.subgraph, fig2)
@@ -372,49 +369,32 @@ class TestFrequencyGate:
 
         monkeypatch.setattr(miner, "_batched_support", spy)
         for ds in self.datasets(31, 8):
-            for base in all_configs(min_sup=0.2):
-                # the pruned run comes first and fixes the count: without
-                # frequency pruning only infrequent nodes are added
-                for cfg in (base, replace(base, frequency_pruning=False)):
+            for cfg in all_configs(min_sup=0.2):
+                for run in (ug.mine, ug.mine_exhaustive):
                     rows.clear()
-                    result = ug.mine(ds, cfg)
+                    result = run(ds, cfg)
                     # calls come in (positive, negative) pairs over the same rows
                     pairs = list(zip(rows[::2], rows[1::2]))
-                    dp_rows = sum(len(p) for p, _ in pairs)
-                    if cfg.frequency_pruning:
+                    if run is ug.mine:
                         frequent = result.stats.nodes_evaluated - result.stats.frequency_pruned
-                    assert dp_rows == frequent
+                        assert sum(len(p) for p, _ in pairs) == frequent
                     for p, n in pairs:
                         freq = (p.sum(axis=1) + n.sum(axis=1)) / len(ds)
                         assert np.all(freq > cfg.min_sup - 1e-12)
-
-    def test_bounds_without_frequency_pruning_match_exhaustive(self):
-        for ds in self.datasets(37, 6):
-            for cfg in all_configs(min_sup=0.2):
-                bounded = ug.mine(ds, replace(cfg, frequency_pruning=False))
-                full = ug.mine_exhaustive(ds, cfg)
-                assert [f.subgraph for f in bounded.features] == [
-                    f.subgraph for f in full.features
-                ]
-                assert [f.measure_value for f in bounded.features] == [
-                    f.measure_value for f in full.features
-                ]
-                assert [f.exp_freq for f in bounded.features] == [
-                    f.exp_freq for f in full.features
-                ]
 
     def test_kept_joints_match_oracle(self):
         for ds in self.datasets(41, 6):
             for cfg in all_configs(t=4, min_sup=0.2):
                 for run in (ug.mine, ug.mine_exhaustive):
-                    for f in run(ds, replace(cfg, keep_joints=True)).features:
+                    for f in run(ds, cfg).features:
                         bf = ug.oracle_joint(f.subgraph, ds)
                         assert np.max(np.abs(f.joint - bf)) <= 1e-9
 
 
-class TestLazyCounts:
-    """Infrequent children are counted, not built: the search keeps the
-    counters and the theta trace of a walk that builds every child."""
+class TestCounts:
+    """Each child list is counted when it is evaluated, and infrequent
+    children are never built: the search keeps the counters and the theta
+    trace of a walk that builds every child and counts it when pushed."""
 
     @staticmethod
     def datasets():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ugmine as ug
-from ugmine.scores import _raw_score
+from ugmine.scores import _raw_grid, _raw_score
 
 KINDS = list(ug.SCORE_KINDS)
 
@@ -110,6 +110,18 @@ class TestEnvelope:
             for a in range(5):
                 for b in range(4):
                     assert table[a, b] == ug.upper_envelope(s, a, b, 4, 3)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_table_equals_capped_running_max_of_raw(self, kind):
+        # capping commutes with max, so the running max of the capped grid is
+        # the capped running max of the raw grid, bit for bit
+        for cap in (0.0, 0.01, 0.5, 3.0):
+            s = spec(kind, cap)
+            for n_pos, n_neg in [(1, 1), (2, 5), (7, 3), (40, 40), (160, 120)]:
+                raw = _raw_grid(s, n_pos, n_neg)
+                running = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
+                expected = np.minimum(running, s.cap)
+                assert ug.envelope_table(s, n_pos, n_neg).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_monotone_in_both_arguments(self, kind):

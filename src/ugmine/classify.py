@@ -5,6 +5,12 @@ graph contains it. The evaluation protocol: stratified 80/20 train/test
 splits, features mined on the training portion only, a small built-in
 L2-regularized logistic regression trained by full-batch gradient descent,
 error rate and positive-class F1 aggregated over repeats.
+
+``evaluate`` takes each split's training and test parts with
+``Dataset.subset``. The full dataset's edge table (``graphs._EdgeTable``)
+is built once, when the first split is taken, and every subset slices it by
+row, so no split walks the edge dicts again; the score grid of the shared
+(n_pos, n_neg) is memoized by ``scores.score_grid``.
 """
 
 from __future__ import annotations
@@ -119,15 +125,6 @@ def _stratified_split(dataset: Dataset, train_fraction: float, rng: np.random.Ge
     return sorted(train_idx), sorted(test_idx)
 
 
-def _subset(dataset: Dataset, indices: list[int]) -> Dataset:
-    return Dataset(
-        dataset.num_nodes,
-        tuple(dataset.graphs[i] for i in indices),
-        tuple(dataset.labels[i] for i in indices),
-        tuple(dataset.ids[i] for i in indices),
-    )
-
-
 def evaluate(
     dataset: Dataset,
     cfg: MiningConfig,
@@ -149,8 +146,8 @@ def evaluate(
     for r in range(repeats):
         rng = np.random.default_rng([seed, r])
         train_idx, test_idx = _stratified_split(dataset, train_fraction, rng)
-        train = _subset(dataset, train_idx)
-        test = _subset(dataset, test_idx)
+        train = dataset.subset(train_idx)
+        test = dataset.subset(test_idx)
         result = miner.mine(train, cfg)
         features = [f.subgraph for f in result.features]
         y_test = np.asarray(test.labels, dtype=int)

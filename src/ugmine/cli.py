@@ -298,12 +298,22 @@ def _load_features(path: str) -> list[Subgraph]:
     raw = obj.get("features") if isinstance(obj, dict) else obj
     if not isinstance(raw, list):
         raise ValueError(f"{path}: features must be a list")
-    try:
-        return [Subgraph.from_edges([(u, v) for u, v in item["edges"]]) for item in raw]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(
-            f"{path}: each feature needs an \"edges\" list of [u, v] pairs ({exc!r})"
-        ) from exc
+    features = []
+    for k, item in enumerate(raw):
+        pairs = item.get("edges") if isinstance(item, dict) else None
+        # exact type tests: bool subclasses int, but JSON true/false are no integers
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(type(n) is int for n in pair)
+            for pair in pairs
+        ):
+            raise ValueError(
+                f"{path}: feature {k}: expected an \"edges\" list of [u, v] integer pairs"
+            )
+        try:
+            features.append(Subgraph.from_edges(pairs))
+        except ValueError as exc:
+            raise ValueError(f"{path}: feature {k}: {exc}") from exc
+    return features
 
 
 def _run_featurize(args: argparse.Namespace) -> int:

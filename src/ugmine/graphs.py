@@ -7,11 +7,12 @@ one embedding in any graph, so containment reduces to edge-set inclusion.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +56,14 @@ class UncertainGraph:
             if not (0.0 < p <= 1.0) or math.isnan(p):
                 raise ValueError(f"edge {e}: probability {p!r} out of range (0, 1]")
 
+    @classmethod
+    def _trusted(cls, num_nodes: int, edges: dict[Edge, float]) -> "UncertainGraph":
+        """Take ownership of ``edges``, already checked as canonical and in range."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "num_nodes", num_nodes)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
 
 @dataclass(frozen=True)
 class CertainGraph:
@@ -68,10 +77,19 @@ class CertainGraph:
         for e in self.edges:
             _check_edge(e, self.num_nodes, "certain graph")
 
+    @classmethod
+    def _trusted(cls, num_nodes: int, edges: list[Edge]) -> "CertainGraph":
+        """Graph of ``edges``, already canonical, in range and ascending."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "num_nodes", num_nodes)
+        object.__setattr__(graph, "edges", frozenset(edges))
+        graph.__dict__["columns"] = EdgeColumns(edges)
+        return graph
+
     @cached_property
     def columns(self) -> EdgeColumns:
         """This graph's edges as columns, with an incidence index; built once."""
-        return EdgeColumns(self.edges)
+        return EdgeColumns(sorted(self.edges))
 
     def extensions(self, edges: Iterable[Edge]) -> list[Edge]:
         """Edges of this graph touching the node set of ``edges`` but not in it, ascending."""
@@ -88,14 +106,22 @@ class EdgeColumns:
     columns of each non-isolated node, ascending.
     """
 
-    def __init__(self, edges: Iterable[Edge]) -> None:
-        self.edges = sorted(edges)
-        self.column = {e: j for j, e in enumerate(self.edges)}
-        incident: dict[int, list[int]] = {}
-        for j, (u, v) in enumerate(self.edges):
-            incident.setdefault(u, []).append(j)
-            incident.setdefault(v, []).append(j)
-        self.incident = {n: np.array(js, dtype=np.intp) for n, js in incident.items()}
+    def __init__(self, edges: list[Edge]) -> None:
+        """Index ``edges``, which must be canonical and ascending."""
+        self.edges = edges
+        self.column = dict(zip(edges, range(len(edges))))
+        try:
+            ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges))
+        except OverflowError:  # node labels past the machine integer range
+            ends = np.array(list(itertools.chain.from_iterable(edges)), dtype=object)
+        # Node n's edges (y, n) with y < n precede its edges (n, x), so
+        # listing the v-ends before the u-ends and sorting stably by node
+        # keeps each node's columns ascending; entry k of ``ends`` belongs
+        # to column k mod E.
+        ends = np.concatenate([ends[1::2], ends[0::2]])
+        order = np.argsort(ends, kind="stable")
+        nodes, starts = np.unique(ends[order], return_index=True)
+        self.incident = dict(zip(nodes.tolist(), np.split(order % len(edges), starts[1:])))
 
 
 def _connected(edges: Iterable[Edge]) -> bool:
@@ -216,6 +242,68 @@ class Dataset:
     def n_neg(self) -> int:
         return len(self.neg_indices)
 
+    @cached_property
+    def _edge_table(self) -> tuple[_EdgeTable, np.ndarray]:
+        """The edge table this dataset reads, and the table row of each of its graphs.
+
+        Built on first use; a dataset made by ``subset`` shares its parent's.
+        """
+        return _EdgeTable(self.graphs), np.arange(len(self.graphs))
+
+    def subset(self, indices: Sequence[int]) -> "Dataset":
+        """The graphs at ``indices``, in that order, with their labels and ids.
+
+        The subset slices this dataset's edge table instead of building its own.
+        """
+        sub = Dataset(
+            self.num_nodes,
+            tuple(self.graphs[i] for i in indices),
+            tuple(self.labels[i] for i in indices),
+            tuple(self.ids[i] for i in indices),
+        )
+        table, rows = self._edge_table
+        sub.__dict__["_edge_table"] = (table, rows[np.asarray(indices, dtype=np.intp)])
+        return sub
+
+
+class _EdgeTable:
+    """Every edge entry of a list of graphs, as flat arrays.
+
+    ``edges`` holds the union edges, ascending. Graph r owns entries
+    ``offsets[r]:offsets[r + 1]``; entry k is the edge ``edges[cols[k]]``
+    with probability ``probs[k]``.
+    """
+
+    def __init__(self, graphs: Sequence[UncertainGraph]) -> None:
+        self.edges: list[Edge] = sorted(set().union(*(g.edges for g in graphs)))
+        column = dict(zip(self.edges, range(len(self.edges))))
+        sizes = [len(g.edges) for g in graphs]
+        self.offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=self.offsets[1:])
+        total = int(self.offsets[-1])
+        self.cols = np.fromiter((column[e] for g in graphs for e in g.edges), np.int32, total)
+        self.probs = np.fromiter(
+            itertools.chain.from_iterable(g.edges.values() for g in graphs), np.float64, total
+        )
+
+    def select(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of the graphs ``rows``.
+
+        Returns the table columns of their union edges, ascending, and per
+        entry its column among those, the position of its graph in ``rows``
+        and its probability.
+        """
+        starts = self.offsets[rows]
+        sizes = self.offsets[rows + 1] - starts
+        firsts = np.cumsum(sizes) - sizes
+        index = np.arange(int(sizes.sum())) + np.repeat(starts - firsts, sizes)
+        cols = self.cols[index]
+        used = np.zeros(len(self.edges), dtype=bool)
+        used[cols] = True
+        local = (np.cumsum(used, dtype=np.int32) - 1)[cols]
+        owner = np.repeat(np.arange(len(rows), dtype=np.int32), sizes)
+        return np.flatnonzero(used), local, owner, self.probs[index]
+
 
 def _require_nodes(g: Subgraph, num_nodes: int) -> None:
     top = max(v for _, v in g.edges)
@@ -249,12 +337,22 @@ def union_graph(dataset: Dataset) -> CertainGraph:
     """Certain graph holding every edge that appears in any graph of the dataset.
 
     This is the search universe for subgraph enumeration: an edge can occur in
-    a feature only if some graph assigns it nonzero probability.
+    a feature only if some graph assigns it nonzero probability. Its edges
+    are read from the dataset's edge table, already checked and ascending.
     """
-    edges: set[Edge] = set()
-    for g in dataset.graphs:
-        edges.update(g.edges)
-    return CertainGraph(dataset.num_nodes, frozenset(edges))
+    table, rows = dataset._edge_table
+    union = table.select(rows)[0]
+    return CertainGraph._trusted(dataset.num_nodes, [table.edges[j] for j in union.tolist()])
+
+
+def _probability_matrix(dataset: Dataset) -> np.ndarray:
+    """Edge probabilities, one row per column of ``union_graph(dataset)``, one
+    column per graph, 0 where the graph lacks the edge; built on each call."""
+    table, rows = dataset._edge_table
+    union, local, owner, probs = table.select(rows)
+    matrix = np.zeros((len(union), len(rows)))
+    matrix[local, owner] = probs
+    return matrix
 
 
 def parse_dataset(text: bytes | str) -> Dataset:
@@ -278,7 +376,9 @@ def parse_dataset(text: bytes | str) -> Dataset:
     graphs: list[UncertainGraph] = []
     labels: list[int] = []
     ids: list[str] = []
-    for i, item in enumerate(raw_graphs):
+    for i in range(len(raw_graphs)):
+        # drop each raw entry once read, so the graphs built reuse its memory
+        item, raw_graphs[i] = raw_graphs[i], None
         if not isinstance(item, dict):
             raise DatasetFormatError(f"graph {i}: entry must be an object")
         label = item.get("label")
@@ -314,7 +414,7 @@ def parse_dataset(text: bytes | str) -> Dataset:
             if e in edges:
                 raise DatasetFormatError(f"graph {i}, edge {j}: duplicate edge ({e[0]}, {e[1]})")
             edges[e] = p
-        graphs.append(UncertainGraph(num_nodes, edges))
+        graphs.append(UncertainGraph._trusted(num_nodes, edges))
         labels.append(label)
         ids.append(gid)
     return Dataset(num_nodes, tuple(graphs), tuple(labels), tuple(ids))

@@ -22,6 +22,13 @@ bounded best-t candidate list when it is popped, and ``mine`` cuts its subtree
 when, for the expectation and phi-probability measures, the dominating upper
 bound cannot beat the current t-th best value.
 
+A search reads its dataset through the dataset's edge table
+(``graphs._EdgeTable``), built once per dataset and shared with every
+``Dataset.subset`` of it: ``union_graph`` takes its edges from there, and
+``_search`` builds its dense edge-by-graph probability matrix with one numpy
+scatter from the rows of the table that the dataset owns. The matrix lives
+only as long as the search.
+
 ``SearchStats.nodes_evaluated`` counts every tree node whose expected
 frequency was computed, built or not; a ``theta_trace`` index is that count
 when θ changed, so it advances by whole child lists.
@@ -44,7 +51,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distribution import EXPECTATION, PHI_PROBABILITY, MeasureSpec, _batched_support, _MeasureGrids
-from .graphs import CertainGraph, Dataset, Edge, EdgeColumns, Subgraph, union_graph
+from .graphs import (
+    CertainGraph,
+    Dataset,
+    Edge,
+    EdgeColumns,
+    Subgraph,
+    _probability_matrix,
+    union_graph,
+)
 from .graphs import _connected as _edges_connected
 from .scores import ScoreFunction, envelope_from_grid, score_grid
 
@@ -250,10 +265,7 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
         return MiningResult((), stats)
 
     # one row of per-graph containment probabilities per universe edge
-    col = universe.columns.column
-    probs = np.zeros((len(col), len(dataset)))
-    for i, g in enumerate(dataset.graphs):
-        probs[[col[e] for e in g.edges], i] = list(g.edges.values())
+    probs = _probability_matrix(dataset)
 
     pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
     neg_cols = np.array(dataset.neg_indices, dtype=np.intp)

@@ -15,6 +15,7 @@ All logarithms are natural.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,9 +124,16 @@ def _raw_grid(spec: ScoreFunction, n_pos: int, n_neg: int) -> np.ndarray:
     return grid
 
 
+@functools.lru_cache(maxsize=16)
 def score_grid(spec: ScoreFunction, n_pos: int, n_neg: int) -> np.ndarray:
-    """(n_pos+1) x (n_neg+1) matrix with cell (a, b) = eval_score(spec, a, b)."""
-    return np.minimum(_raw_grid(spec, n_pos, n_neg), spec.cap)
+    """(n_pos+1) x (n_neg+1) matrix with cell (a, b) = eval_score(spec, a, b).
+
+    Memoized on (spec, n_pos, n_neg), so the splits of one evaluation, which
+    share their class sizes, share one grid; it is read-only.
+    """
+    grid = np.minimum(_raw_grid(spec, n_pos, n_neg), spec.cap)
+    grid.flags.writeable = False
+    return grid
 
 
 def envelope_from_grid(grid: np.ndarray) -> np.ndarray:

@@ -129,6 +129,33 @@ class TestEvaluate:
         assert all(len(d) == 24 for d in seen)  # 80% of 30, stratified
         assert all(d.n_pos == 12 and d.n_neg == 12 for d in seen)
 
+    @pytest.mark.parametrize("preset", [None, "hiv-like"])
+    def test_split_features_match_fresh_dataset(self, monkeypatch, preset):
+        """Each split, mined from a slice of the dataset's edge table, mines the
+        same features as a dataset of the same graphs built from scratch."""
+        ds = eval_dataset(signal=True) if preset is None else ug.make_preset(preset, seed=0)
+        cfg = eval_cfg()
+        runs = []
+        real_mine = ug.miner.mine
+
+        def spy(dataset, cfg):
+            result = real_mine(dataset, cfg)
+            runs.append((dataset, result))
+            return result
+
+        monkeypatch.setattr(ug.miner, "mine", spy)
+        ug.evaluate(ds, cfg, repeats=3, train_fraction=0.5, seed=4)
+        assert len(runs) == 3
+        for split, result in runs:
+            expected = real_mine(
+                ug.Dataset(split.num_nodes, split.graphs, split.labels, split.ids), cfg
+            )
+            assert result.features == expected.features
+            assert result.stats == expected.stats
+            for got, want in zip(result.features, expected.features):
+                assert got.pos_dist.tobytes() == want.pos_dist.tobytes()
+                assert got.neg_dist.tobytes() == want.neg_dist.tobytes()
+
     def test_class_required(self, fig2):
         ds = ug.Dataset(3, fig2.graphs, (1, 1, 1, 1))
         with pytest.raises(ValueError):

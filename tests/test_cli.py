@@ -297,6 +297,20 @@ class TestFeaturizeCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "pair", ["[0.5, 1]", "[true, 2]", "[0, 1, 2]"], ids=["float", "boolean", "triple"]
+    )
+    def test_non_integer_pair_rejected(self, capsys, fig2_file, tmp_path, pair):
+        features = tmp_path / "features.json"
+        features.write_text(f'{{"features": [{{"edges": [[0, 1]]}}, {{"edges": [{pair}]}}]}}')
+        code, out, err = run(
+            capsys, "featurize", "--input", fig2_file, "--features", str(features)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "feature 1:" in err and "integer pairs" in err
+
 
 class TestEvaluateCommand:
     def test_smoke_and_determinism(self, capsys, tmp_path):

@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ugmine as ug
 from conftest import DATA_DIR, all_pairs, make_random_dataset, random_connected_subgraph
+from ugmine.graphs import _probability_matrix
 
 
 def minimal_text(edges, label=1, num_nodes=3):
@@ -144,6 +146,121 @@ class TestUnionGraph:
     def test_single_graph(self, fig2):
         ds = ug.Dataset(3, (fig2.graphs[3],), (1,))
         assert ug.union_graph(ds).edges == frozenset(fig2.graphs[3].edges)
+
+
+def reference_matrix(ds: ug.Dataset) -> tuple[list, np.ndarray]:
+    """Union edges and probability matrix, built graph by graph from the edge dicts."""
+    edges = sorted({e for g in ds.graphs for e in g.edges})
+    column = {e: j for j, e in enumerate(edges)}
+    probs = np.zeros((len(edges), len(ds)))
+    for i, g in enumerate(ds.graphs):
+        for e, p in g.edges.items():
+            probs[column[e], i] = p
+    return edges, probs
+
+
+def fresh(ds: ug.Dataset) -> ug.Dataset:
+    """The same graphs in a new dataset, with an edge table of its own."""
+    return ug.Dataset(ds.num_nodes, ds.graphs, ds.labels, ds.ids)
+
+
+class TestSubset:
+    """A subset's union graph and probability matrix, sliced from its parent's
+    edge table, equal those of a fresh dataset of the same graphs, bit for bit."""
+
+    @staticmethod
+    def assert_tables_equal(ds: ug.Dataset) -> None:
+        edges, probs = reference_matrix(ds)
+        for d in (ds, fresh(ds)):
+            universe = ug.union_graph(d)
+            assert universe.columns.edges == edges
+            assert universe.edges == frozenset(edges)
+            matrix = _probability_matrix(d)
+            assert matrix.shape == probs.shape
+            assert matrix.tobytes() == probs.tobytes()
+
+    def test_random_splits_of_presets(self):
+        rng = np.random.default_rng(5)
+        for preset in ug.PRESETS:
+            ds = ug.make_preset(preset, seed=0)
+            self.assert_tables_equal(ds)
+            for _ in range(3):
+                size = int(rng.integers(1, len(ds) + 1))
+                indices = rng.choice(len(ds), size, replace=False)
+                sub = ds.subset(sorted(indices.tolist()))
+                assert sub == fresh(sub)
+                self.assert_tables_equal(sub)
+                self.assert_tables_equal(ds.subset(indices.tolist()))
+
+    def test_labels_and_ids_follow_indices(self, fig2):
+        sub = fig2.subset([3, 0])
+        assert sub.labels == (-1, 1)
+        assert sub.ids == ("g4", "g1")
+        assert sub.graphs == (fig2.graphs[3], fig2.graphs[0])
+
+    def test_empty_dataset(self):
+        ds = ug.Dataset(3, (), ())
+        self.assert_tables_equal(ds)
+        self.assert_tables_equal(ds.subset([]))
+        assert _probability_matrix(ds).shape == (0, 0)
+
+    def test_graph_without_edges(self, fig2):
+        empty = ug.UncertainGraph(3, {})
+        ds = ug.Dataset(3, (empty,) + fig2.graphs + (empty,), (1, 1, 1, -1, -1, -1))
+        self.assert_tables_equal(ds)
+        for indices in ([0], [0, 5], [5, 2, 0], [1, 5]):
+            self.assert_tables_equal(ds.subset(indices))
+        assert _probability_matrix(ds.subset([0])).shape == (0, 1)
+
+    def test_edges_only_in_test_part(self):
+        graphs = tuple(ug.UncertainGraph(5, {e: 0.5}) for e in ((0, 1), (1, 2), (3, 4), (0, 1)))
+        ds = ug.Dataset(5, graphs, (1, -1, 1, -1))
+        train, test = ds.subset([0, 1, 3]), ds.subset([2])
+        assert ug.union_graph(train).columns.edges == [(0, 1), (1, 2)]
+        assert ug.union_graph(test).columns.edges == [(3, 4)]
+        for d in (train, test):
+            self.assert_tables_equal(d)
+
+    def test_subset_of_subset(self):
+        rng = random.Random(9)
+        for _ in range(20):
+            ds = make_random_dataset(rng, n_graphs=8, num_nodes=5, max_edges=5)
+            outer = rng.sample(range(8), 5)
+            inner = rng.sample(range(5), 3)
+            nested = ds.subset(outer).subset(inner)
+            assert nested == ds.subset([outer[j] for j in inner])
+            self.assert_tables_equal(nested)
+
+
+class TestEdgeColumns:
+    def test_incident_matches_reference(self):
+        for preset in ug.PRESETS:
+            universe = ug.union_graph(ug.make_preset(preset, seed=0))
+            columns = universe.columns
+            reference: dict[int, list[int]] = {}
+            for j, (u, v) in enumerate(columns.edges):
+                reference.setdefault(u, []).append(j)
+                reference.setdefault(v, []).append(j)
+            assert columns.incident.keys() == reference.keys()
+            for n, js in reference.items():
+                assert columns.incident[n].dtype == np.intp
+                assert columns.incident[n].tolist() == js
+            validated = ug.CertainGraph(universe.num_nodes, universe.edges).columns
+            assert validated.edges == columns.edges
+            assert validated.column == columns.column == {e: j for j, e in enumerate(columns.edges)}
+
+    def test_node_labels_past_int64(self):
+        big = 2**70
+        edges = [(0, big), (1, big), (big, big + 1), (big + 1, big + 2)]
+        columns = ug.CertainGraph(big + 3, frozenset(edges)).columns
+        assert columns.edges == edges
+        assert {n: js.tolist() for n, js in columns.incident.items()} == {
+            0: [0], 1: [1], big: [0, 1, 2], big + 1: [2, 3], big + 2: [3]
+        }
+
+    def test_no_edges(self):
+        columns = ug.CertainGraph(3, frozenset()).columns
+        assert columns.edges == [] and columns.incident == {} and columns.column == {}
 
 
 class TestSerialize:

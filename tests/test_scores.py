@@ -229,3 +229,18 @@ class TestCapping:
         assert ug.eval_score(spec("gtest", cap=0.01), 1, 1, 4, 2) == ug.eval_score(
             spec("gtest"), 1, 1, 4, 2
         )
+
+
+class TestScoreGridCache:
+    @pytest.mark.parametrize("kind", ug.SCORE_KINDS)
+    @pytest.mark.parametrize("cap", [0.0, 0.01])
+    def test_read_only_and_exact(self, kind, cap):
+        spec = ug.ScoreFunction(kind, cap)
+        for n_pos, n_neg in ((1, 1), (3, 5), (80, 80)):
+            grid = ug.score_grid(spec, n_pos, n_neg)
+            assert ug.score_grid(ug.ScoreFunction(kind, cap), n_pos, n_neg) is grid
+            assert not grid.flags.writeable
+            with pytest.raises(ValueError):
+                grid[0, 0] = 1.0
+            fresh = np.minimum(_raw_grid(spec, n_pos, n_neg), spec.cap)
+            assert grid.tobytes() == fresh.tobytes()

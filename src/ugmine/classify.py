@@ -10,7 +10,13 @@ error rate and positive-class F1 aggregated over repeats.
 ``Dataset.subset``. The full dataset's edge table (``graphs._EdgeTable``)
 is built once, when the first split is taken, and every subset slices it by
 row, so no split walks the edge dicts again; the score grid of the shared
-(n_pos, n_neg) is memoized by ``scores.score_grid``.
+(n_pos, n_neg) is memoized by ``scores.score_grid``. ``featurize`` reads its
+columns from the same table.
+
+The splits are mined first. Those with features are then trained together:
+one stacked gradient descent per shape of training matrix, at most
+``MAX_STACK`` splits at a time. Each model's weights are bit for bit those
+of training it alone.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import miner
-from .graphs import Dataset, Subgraph, containment_probability
+from .graphs import Dataset, Subgraph, _containment_matrix
 from .miner import MiningConfig
 
 
@@ -43,13 +49,15 @@ class EvalReport:
 
 
 def featurize(dataset: Dataset, features: list[Subgraph]) -> FeatureMatrix:
-    """Matrix of containment probabilities, one column per feature."""
+    """Matrix of containment probabilities, one column per feature.
+
+    Entry (i, k) equals ``containment_probability(features[k],
+    dataset.graphs[i])`` bit for bit; the rows are read from the dataset's
+    edge table.
+    """
     if not features:
         raise ValueError("feature list must be nonempty")
-    values = np.empty((len(dataset), len(features)))
-    for k, f in enumerate(features):
-        for i, g in enumerate(dataset.graphs):
-            values[i, k] = containment_probability(f, g)
+    values = _containment_matrix(dataset, features)
     return FeatureMatrix(values, np.asarray(dataset.labels, dtype=int))
 
 
@@ -68,28 +76,52 @@ def export_csv(matrix: FeatureMatrix) -> bytes:
 L2 = 0.01
 LEARNING_RATE = 0.5
 ITERATIONS = 400
+# The most splits that one call of ``train_logistic_regression`` trains in
+# ``evaluate``; it bounds the memory of the stacked descent.
+MAX_STACK = 64
 
 
-def train_logistic_regression(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+def train_logistic_regression(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, float] | tuple[np.ndarray, np.ndarray]:
     """Full-batch gradient descent on the regularized logistic loss.
 
     ``y`` holds 0/1 targets. The intercept is not regularized. The schedule is
     fixed, so training is deterministic for identical inputs.
+
+    ``x`` of shape (n, m) with ``y`` of shape (n,) trains one model and
+    returns its weights and intercept. A stack, ``x`` of shape (s, n, m)
+    with ``y`` of shape (s, n), trains s models at once and returns an
+    (s, m) array of weights and an (s,) array of intercepts. Each model
+    stops at the first step after which its gradients are all below 1e-9,
+    and its weights equal those of training it alone, bit for bit.
     """
-    n, m = x.shape
-    w = np.zeros(m)
-    b = 0.0
+    if np.ndim(x) == 2:
+        w, b = train_logistic_regression(np.asarray(x)[None], np.asarray(y)[None])
+        return w[0], float(b[0])
+    s, n, m = np.shape(x)
+    weights = np.zeros((s, m))
+    intercepts = np.zeros(s)
+    # the models still descending: their stack positions and their state
+    live = np.arange(s)
+    X, Y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    W, B = weights.copy(), intercepts.copy()
     for _ in range(ITERATIONS):
-        z = x @ w + b
-        pred = 1.0 / (1.0 + np.exp(-z))
-        err = pred - y
-        grad_w = x.T @ err / n + L2 * w
-        grad_b = float(err.mean())
-        w -= LEARNING_RATE * grad_w
-        b -= LEARNING_RATE * grad_b
-        if np.abs(grad_w).max(initial=0.0) < 1e-9 and abs(grad_b) < 1e-9:
-            break
-    return w, b
+        z = (X @ W[:, :, None])[:, :, 0] + B[:, None]
+        err = 1.0 / (1.0 + np.exp(-z)) - Y
+        gw = (X.transpose(0, 2, 1) @ err[:, :, None])[:, :, 0] / n + L2 * W
+        gb = err.mean(axis=1)
+        W -= LEARNING_RATE * gw
+        B -= LEARNING_RATE * gb
+        done = (np.abs(gw).max(axis=1, initial=0.0) < 1e-9) & (np.abs(gb) < 1e-9)
+        if done.any():
+            weights[live[done]], intercepts[live[done]] = W[done], B[done]
+            keep = ~done
+            live, X, Y, W, B = live[keep], X[keep], Y[keep], W[keep], B[keep]
+            if not len(live):
+                break
+    weights[live], intercepts[live] = W, B
+    return weights, intercepts
 
 
 def predict_labels(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
@@ -125,6 +157,10 @@ def _stratified_split(dataset: Dataset, train_fraction: float, rng: np.random.Ge
     return sorted(train_idx), sorted(test_idx)
 
 
+# a split that has features: its repeat, training part, test part and features
+_Split = tuple[int, Dataset, Dataset, list[Subgraph]]
+
+
 def evaluate(
     dataset: Dataset,
     cfg: MiningConfig,
@@ -141,8 +177,20 @@ def evaluate(
         raise ValueError("evaluation needs at least two graphs per class")
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    errors = []
-    f1s = []
+    y_tests = []
+    predictions: list[np.ndarray | None] = [None] * repeats
+    # splits waiting to be featurized and trained, by the shape of their training matrix
+    pending: dict[tuple[int, int], list[_Split]] = {}
+
+    def fit(group: list[_Split]) -> None:
+        """Train the models of ``group`` together and predict their test parts."""
+        train_ms = [featurize(train, features) for _, train, _, features in group]
+        x = np.stack([m.values for m in train_ms])
+        y01 = np.stack([(m.labels == 1).astype(float) for m in train_ms])
+        weights, intercepts = train_logistic_regression(x, y01)
+        for (r, _, test, features), w, b in zip(group, weights, intercepts):
+            predictions[r] = predict_labels(featurize(test, features).values, w, float(b))
+
     for r in range(repeats):
         rng = np.random.default_rng([seed, r])
         train_idx, test_idx = _stratified_split(dataset, train_fraction, rng)
@@ -150,18 +198,19 @@ def evaluate(
         test = dataset.subset(test_idx)
         result = miner.mine(train, cfg)
         features = [f.subgraph for f in result.features]
-        y_test = np.asarray(test.labels, dtype=int)
+        y_tests.append(np.asarray(test.labels, dtype=int))
         if not features:
             majority = 1 if train.n_pos >= train.n_neg else -1
-            y_pred = np.full(len(y_test), majority)
-        else:
-            train_m = featurize(train, features)
-            test_m = featurize(test, features)
-            y01 = (train_m.labels == 1).astype(float)
-            w, b = train_logistic_regression(train_m.values, y01)
-            y_pred = predict_labels(test_m.values, w, b)
-        errors.append(error_rate(y_test, y_pred))
-        f1s.append(f1_score(y_test, y_pred))
+            predictions[r] = np.full(len(test), majority)
+            continue
+        shape = (len(train), len(features))
+        pending.setdefault(shape, []).append((r, train, test, features))
+        if len(pending[shape]) == MAX_STACK:
+            fit(pending.pop(shape))
+    for group in pending.values():
+        fit(group)
+    errors = [error_rate(y, p) for y, p in zip(y_tests, predictions)]
+    f1s = [f1_score(y, p) for y, p in zip(y_tests, predictions)]
     err = np.asarray(errors)
     f1 = np.asarray(f1s)
     return EvalReport(

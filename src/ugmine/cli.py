@@ -268,6 +268,8 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _run_gen(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     for flag, p in (
         ("--planted-prob-pos", args.planted_prob_pos),
         ("--planted-prob-neg", args.planted_prob_neg),
@@ -330,6 +332,8 @@ def _run_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("--repeats must be >= 1")
     if not 0.0 < args.train_fraction < 1.0:
         raise UsageError("--train-fraction must lie strictly between 0 and 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     dataset = _load_dataset(args.input)
     cfg = _mining_config(args)
     report = evaluate(

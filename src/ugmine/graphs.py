@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,12 +79,13 @@ class CertainGraph:
             _check_edge(e, self.num_nodes, "certain graph")
 
     @classmethod
-    def _trusted(cls, num_nodes: int, edges: list[Edge]) -> "CertainGraph":
-        """Graph of ``edges``, already canonical, in range and ascending."""
+    def _trusted(cls, num_nodes: int, edges: list[Edge], ends: np.ndarray) -> "CertainGraph":
+        """Graph of ``edges``, already canonical, in range and ascending, whose
+        endpoints are the rows of ``ends``."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "num_nodes", num_nodes)
         object.__setattr__(graph, "edges", frozenset(edges))
-        graph.__dict__["columns"] = EdgeColumns(edges)
+        graph.__dict__["columns"] = EdgeColumns(edges, ends)
         return graph
 
     @cached_property
@@ -99,6 +101,15 @@ class CertainGraph:
         return sorted({columns.edges[j] for n in nodes for j in columns.incident[n].tolist()} - own)
 
 
+def _endpoints(edges: list[Edge]) -> np.ndarray:
+    """The endpoints of ``edges``, one row per edge; Python ints past the machine range."""
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges))
+    except OverflowError:  # node labels past the machine integer range
+        flat = np.array(list(itertools.chain.from_iterable(edges)), dtype=object)
+    return flat.reshape(-1, 2)
+
+
 class EdgeColumns:
     """A graph's edges numbered 0..E-1 in ascending edge order.
 
@@ -106,19 +117,21 @@ class EdgeColumns:
     columns of each non-isolated node, ascending.
     """
 
-    def __init__(self, edges: list[Edge]) -> None:
-        """Index ``edges``, which must be canonical and ascending."""
+    def __init__(self, edges: list[Edge], ends: np.ndarray | None = None) -> None:
+        """Index ``edges``, which must be canonical and ascending.
+
+        ``ends`` holds their endpoints, one row per edge, when the caller
+        has them as an array already.
+        """
         self.edges = edges
         self.column = dict(zip(edges, range(len(edges))))
-        try:
-            ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges))
-        except OverflowError:  # node labels past the machine integer range
-            ends = np.array(list(itertools.chain.from_iterable(edges)), dtype=object)
+        if ends is None:
+            ends = _endpoints(edges)
         # Node n's edges (y, n) with y < n precede its edges (n, x), so
         # listing the v-ends before the u-ends and sorting stably by node
         # keeps each node's columns ascending; entry k of ``ends`` belongs
         # to column k mod E.
-        ends = np.concatenate([ends[1::2], ends[0::2]])
+        ends = np.concatenate([ends[:, 1], ends[:, 0]])
         order = np.argsort(ends, kind="stable")
         nodes, starts = np.unique(ends[order], return_index=True)
         self.incident = dict(zip(nodes.tolist(), np.split(order % len(edges), starts[1:])))
@@ -266,16 +279,26 @@ class Dataset:
         return sub
 
 
+class _Selection(NamedTuple):
+    """The entries of some graphs of an edge table; see ``_EdgeTable.select``."""
+
+    union: np.ndarray
+    local: np.ndarray
+    owner: np.ndarray
+    probs: np.ndarray
+
+
 class _EdgeTable:
     """Every edge entry of a list of graphs, as flat arrays.
 
-    ``edges`` holds the union edges, ascending. Graph r owns entries
-    ``offsets[r]:offsets[r + 1]``; entry k is the edge ``edges[cols[k]]``
-    with probability ``probs[k]``.
+    ``edges`` holds the union edges, ascending, and ``ends`` their endpoints,
+    one row per edge. Graph r owns entries ``offsets[r]:offsets[r + 1]``;
+    entry k is the edge ``edges[cols[k]]`` with probability ``probs[k]``.
     """
 
     def __init__(self, graphs: Sequence[UncertainGraph]) -> None:
         self.edges: list[Edge] = sorted(set().union(*(g.edges for g in graphs)))
+        self.ends = _endpoints(self.edges)
         column = dict(zip(self.edges, range(len(self.edges))))
         sizes = [len(g.edges) for g in graphs]
         self.offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
@@ -286,10 +309,10 @@ class _EdgeTable:
             itertools.chain.from_iterable(g.edges.values() for g in graphs), np.float64, total
         )
 
-    def select(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def select(self, rows: np.ndarray) -> _Selection:
         """The entries of the graphs ``rows``.
 
-        Returns the table columns of their union edges, ascending, and per
+        Holds the table columns of their union edges, ascending, and per
         entry its column among those, the position of its graph in ``rows``
         and its probability.
         """
@@ -302,7 +325,25 @@ class _EdgeTable:
         used[cols] = True
         local = (np.cumsum(used, dtype=np.int32) - 1)[cols]
         owner = np.repeat(np.arange(len(rows), dtype=np.int32), sizes)
-        return np.flatnonzero(used), local, owner, self.probs[index]
+        return _Selection(np.flatnonzero(used), local, owner, self.probs[index])
+
+    @cached_property
+    def _by_column(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries ordered by column, and where the run of each column starts."""
+        order = np.argsort(self.cols, kind="stable").astype(np.int32)
+        starts = np.zeros(len(self.edges) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.cols, minlength=len(self.edges)), out=starts[1:])
+        return order, starts
+
+    def column(self, e: Edge, rows: np.ndarray) -> np.ndarray:
+        """Probability of edge ``e`` in each of the graphs ``rows``; 0 where absent."""
+        dense = np.zeros(len(self.offsets) - 1)
+        j = bisect_left(self.edges, e)
+        if j < len(self.edges) and self.edges[j] == e:
+            order, starts = self._by_column
+            entries = order[starts[j] : starts[j + 1]]
+            dense[np.searchsorted(self.offsets, entries, side="right") - 1] = self.probs[entries]
+        return dense[rows]
 
 
 def _require_nodes(g: Subgraph, num_nodes: int) -> None:
@@ -333,24 +374,56 @@ def containment_probability(g: Subgraph, graph: UncertainGraph) -> float:
     return prod
 
 
-def union_graph(dataset: Dataset) -> CertainGraph:
+def _containment_matrix(dataset: Dataset, features: Sequence[Subgraph]) -> np.ndarray:
+    """Containment probabilities, one row per graph and one column per feature.
+
+    Entry (i, k) is bit for bit ``containment_probability(features[k],
+    dataset.graphs[i])``: the edge columns of a feature are multiplied in
+    ascending edge order, starting from 1.0, and an absent edge's 0 makes
+    the product 0. The columns are read from the dataset's edge table.
+    """
+    if len(dataset):
+        for f in features:
+            _require_nodes(f, dataset.num_nodes)
+    table, rows = dataset._edge_table
+    columns: dict[Edge, np.ndarray] = {}
+    matrix = np.empty((len(dataset), len(features)))
+    for k, f in enumerate(features):
+        prod = np.ones(len(dataset))
+        for e in f.edges:
+            if e not in columns:
+                columns[e] = table.column(e, rows)
+            prod *= columns[e]
+        matrix[:, k] = prod
+    return matrix
+
+
+def _select(dataset: Dataset) -> _Selection:
+    """The entries of the dataset's graphs in its edge table."""
+    table, rows = dataset._edge_table
+    return table.select(rows)
+
+
+def union_graph(dataset: Dataset, selection: _Selection | None = None) -> CertainGraph:
     """Certain graph holding every edge that appears in any graph of the dataset.
 
     This is the search universe for subgraph enumeration: an edge can occur in
     a feature only if some graph assigns it nonzero probability. Its edges
-    are read from the dataset's edge table, already checked and ascending.
+    are read from the dataset's edge table, already checked and ascending,
+    through ``selection`` when the caller has taken it with ``_select``.
     """
-    table, rows = dataset._edge_table
-    union = table.select(rows)[0]
-    return CertainGraph._trusted(dataset.num_nodes, [table.edges[j] for j in union.tolist()])
+    table = dataset._edge_table[0]
+    union = (_select(dataset) if selection is None else selection).union
+    edges = [table.edges[j] for j in union.tolist()]
+    return CertainGraph._trusted(dataset.num_nodes, edges, table.ends[union])
 
 
-def _probability_matrix(dataset: Dataset) -> np.ndarray:
+def _probability_matrix(dataset: Dataset, selection: _Selection | None = None) -> np.ndarray:
     """Edge probabilities, one row per column of ``union_graph(dataset)``, one
-    column per graph, 0 where the graph lacks the edge; built on each call."""
-    table, rows = dataset._edge_table
-    union, local, owner, probs = table.select(rows)
-    matrix = np.zeros((len(union), len(rows)))
+    column per graph, 0 where the graph lacks the edge; built on each call,
+    from ``selection`` when given."""
+    union, local, owner, probs = _select(dataset) if selection is None else selection
+    matrix = np.zeros((len(union), len(dataset)))
     matrix[local, owner] = probs
     return matrix
 

@@ -24,10 +24,11 @@ bound cannot beat the current t-th best value.
 
 A search reads its dataset through the dataset's edge table
 (``graphs._EdgeTable``), built once per dataset and shared with every
-``Dataset.subset`` of it: ``union_graph`` takes its edges from there, and
-``_search`` builds its dense edge-by-graph probability matrix with one numpy
-scatter from the rows of the table that the dataset owns. The matrix lives
-only as long as the search.
+``Dataset.subset`` of it. ``_search`` selects the table entries of the
+dataset's graphs once; ``union_graph`` takes its edges and their endpoints
+from that selection, and the dense edge-by-graph probability matrix is one
+numpy scatter of it. The selection and the matrix live only as long as the
+search.
 
 ``SearchStats.nodes_evaluated`` counts every tree node whose expected
 frequency was computed, built or not; a ``theta_trace`` index is that count
@@ -58,6 +59,7 @@ from .graphs import (
     EdgeColumns,
     Subgraph,
     _probability_matrix,
+    _select,
     union_graph,
 )
 from .graphs import _connected as _edges_connected
@@ -260,12 +262,14 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
         raise ValueError("mining requires at least one graph of each class")
     stats = SearchStats()
     cands = _CandidateList(cfg.t)
-    universe = union_graph(dataset)
+    selection = _select(dataset)
+    universe = union_graph(dataset, selection)
     if not universe.edges:
         return MiningResult((), stats)
 
     # one row of per-graph containment probabilities per universe edge
-    probs = _probability_matrix(dataset)
+    probs = _probability_matrix(dataset, selection)
+    del selection  # its entries are in probs now; free them before the walk
 
     pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
     neg_cols = np.array(dataset.neg_indices, dtype=np.intp)

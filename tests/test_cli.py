@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +217,11 @@ class TestOracleCheck:
         assert code == 0
         assert "20/20 matched" in out
 
+    def test_negative_seed_accepted(self, capsys, fig2_file):
+        code, out, _ = run(capsys, "oracle-check", "--input", fig2_file, "--seed", "-1")
+        assert code == 0
+        assert out == "100/100 matched\n"
+
     def test_budget_exceeded(self, capsys, fig2_file):
         code, _, err = run(
             capsys,
@@ -257,6 +266,14 @@ class TestGen:
         assert code == 0
         ds = ug.parse_dataset(out_path.read_bytes())
         assert len(ds) == 50
+
+    @pytest.mark.parametrize("preset", ug.PRESETS)
+    def test_negative_seed_rejected(self, capsys, preset):
+        code, out, err = run(capsys, "gen", "--preset", preset, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--seed" in err
+        assert err.count("\n") == 1
 
     def test_gen_deterministic(self, capsys):
         _, out1, _ = run(capsys, "gen", "--preset", "hiv-like", "--seed", "9")
@@ -334,6 +351,14 @@ class TestEvaluateCommand:
         assert out1 == out2
 
 
+    def test_negative_seed_rejected(self, capsys, fig2_file):
+        code, out, err = run(capsys, "evaluate", "--input", fig2_file, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--seed" in err
+        assert err.count("\n") == 1
+
+
 class TestStatsCommand:
     def test_fig2(self, capsys, fig2_file):
         code, out, _ = run(capsys, "stats", "--input", fig2_file)
@@ -342,3 +367,26 @@ class TestStatsCommand:
         assert payload["n_graphs"] == 4
         assert payload["n_pos"] == 2
         assert payload["mean_edges"] == 2.5
+
+
+class TestModuleEntryPoint:
+    """``python -m ugmine`` runs the CLI from a source checkout."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "ugmine", *argv], capture_output=True, text=True, env=env
+        )
+
+    def test_help(self):
+        done = self.run_module("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: ugmine")
+
+    def test_usage_error(self):
+        done = self.run_module("gen", "--preset", "fig2", "--seed", "-1")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: --seed must be >= 0\n"

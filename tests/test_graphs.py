@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ugmine as ug
 from conftest import DATA_DIR, all_pairs, make_random_dataset, random_connected_subgraph
-from ugmine.graphs import _probability_matrix
+from ugmine.graphs import EdgeColumns, _EdgeTable, _probability_matrix
 
 
 def minimal_text(edges, label=1, num_nodes=3):
@@ -232,6 +232,106 @@ class TestSubset:
             self.assert_tables_equal(nested)
 
 
+class TestContainmentFromTable:
+    """``featurize`` reads the edge table and equals ``containment_probability``
+    bit for bit, on whole datasets and on subsets of them."""
+
+    @staticmethod
+    def assert_bitwise(ds: ug.Dataset, features: list) -> None:
+        got = ug.featurize(ds, features).values
+        want = np.zeros((len(ds), len(features)))
+        for i, g in enumerate(ds.graphs):
+            for k, f in enumerate(features):
+                want[i, k] = ug.containment_probability(f, g)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def absent_features(ds: ug.Dataset, union: list) -> list:
+        """Features holding an edge that no graph of ``ds`` has, alone and
+        attached to an edge that some graph has."""
+        present = set(union)
+        out = []
+        for u, v in all_pairs(ds.num_nodes):
+            if (u, v) in present:
+                continue
+            out.append(ug.Subgraph(((u, v),)))
+            touching = [e for e in union if u in e or v in e]
+            if touching:
+                out.append(ug.Subgraph.from_edges([touching[0], (u, v)]))
+            if len(out) >= 6:
+                break
+        return out
+
+    def test_presets_and_subsets(self):
+        rng = random.Random(3)
+        np_rng = np.random.default_rng(3)
+        for preset in ug.PRESETS:
+            ds = ug.make_preset(preset, seed=0)
+            union = sorted(ug.union_graph(ds).edges)
+            features = [random_connected_subgraph(rng, union, max_size=4) for _ in range(25)]
+            self.assert_bitwise(ds, features + self.absent_features(ds, union))
+            for _ in range(3):
+                size = int(np_rng.integers(1, len(ds) + 1))
+                sub = ds.subset(np_rng.choice(len(ds), size, replace=False).tolist())
+                self.assert_bitwise(sub, features + self.absent_features(sub, union_of(sub)))
+            self.assert_bitwise(ds.subset([1, 0, 1]), features)
+
+    def test_absent_edges_read_zero(self):
+        graphs = tuple(ug.UncertainGraph(5, {e: 0.5}) for e in ((0, 1), (1, 2), (3, 4), (0, 1)))
+        ds = ug.Dataset(5, graphs, (1, -1, 1, -1))
+        features = [ug.Subgraph.from_edges(pairs) for pairs in ([(0, 1)], [(3, 4)], [(0, 4)])]
+        self.assert_bitwise(ds, features)
+        train = ds.subset([0, 1, 3])
+        self.assert_bitwise(train, features)
+        assert (ug.featurize(train, features).values[:, 1:] == 0).all()
+
+    def test_empty_graphs_and_empty_dataset(self, fig2):
+        empty = ug.UncertainGraph(3, {})
+        ds = ug.Dataset(3, (empty,) + fig2.graphs + (empty,), (1, 1, 1, -1, -1, -1))
+        features = [ug.Subgraph.from_edges([(0, 1), (1, 2)]), ug.Subgraph.from_edges([(0, 2)])]
+        self.assert_bitwise(ds, features)
+        self.assert_bitwise(ds.subset([0, 5]), features)
+        assert ug.featurize(ds.subset([]), features).values.shape == (0, 2)
+
+    def test_out_of_universe_rejected(self, fig2):
+        outside = ug.Subgraph.from_edges([(0, 1), (1, 3)])
+        for ds in (fig2, fig2.subset([2, 0])):
+            with pytest.raises(ValueError, match="subgraph node 3 outside universe of 3 nodes"):
+                ug.featurize(ds, [ug.Subgraph.from_edges([(0, 1)]), outside])
+
+
+def union_of(ds: ug.Dataset) -> list:
+    return sorted({e for g in ds.graphs for e in g.edges})
+
+
+class TestOneSelectionPerSearch:
+    def test_one_select_per_mine(self, monkeypatch):
+        calls = []
+        real = _EdgeTable.select
+
+        def spy(table, rows):
+            calls.append(len(rows))
+            return real(table, rows)
+
+        monkeypatch.setattr(_EdgeTable, "select", spy)
+        cfg = ug.MiningConfig(
+            t=5, min_sup=0.2, measure=ug.MeasureSpec("exp"), score=ug.ScoreFunction("conf")
+        )
+        for preset in ug.PRESETS:
+            ds = ug.make_preset(preset, seed=0)
+            calls.clear()
+            ug.mine(ds, cfg)
+            assert calls == [len(ds)]
+            calls.clear()
+            ug.mine(ds.subset(range(0, len(ds), 2)), cfg)
+            assert calls == [len(range(0, len(ds), 2))]
+        ds = ug.make_preset("hiv-like", seed=0)
+        calls.clear()
+        ug.evaluate(ds, cfg, repeats=3)
+        assert calls == [40] * 3
+
+
 class TestEdgeColumns:
     def test_incident_matches_reference(self):
         for preset in ug.PRESETS:
@@ -333,3 +433,33 @@ class TestSubgraph:
     def test_nodes(self):
         g = ug.Subgraph.from_edges([(0, 1), (1, 2)])
         assert g.nodes == frozenset({0, 1, 2})
+
+    def test_array_built_equals_tuple_built(self):
+        """The union's columns, built from the table's endpoint array, equal
+        columns built from the edge tuples."""
+        for preset in ug.PRESETS:
+            ds = ug.make_preset(preset, seed=0)
+            for d in (ds, ds.subset(range(1, len(ds), 3))):
+                columns = ug.union_graph(d).columns
+                reference = EdgeColumns(list(columns.edges))
+                assert columns.edges == reference.edges
+                assert columns.column == reference.column
+                assert columns.incident.keys() == reference.incident.keys()
+                for n, js in reference.incident.items():
+                    assert columns.incident[n].dtype == js.dtype
+                    assert columns.incident[n].tolist() == js.tolist()
+
+    def test_table_with_node_labels_past_int64(self):
+        big = 2**70
+        graphs = (
+            ug.UncertainGraph(big + 3, {(0, big): 0.5, (big, big + 1): 0.25}),
+            ug.UncertainGraph(big + 3, {(1, big): 0.5, (big + 1, big + 2): 0.75}),
+        )
+        ds = ug.Dataset(big + 3, graphs, (1, -1))
+        columns = ug.union_graph(ds).columns
+        assert columns.edges == [(0, big), (1, big), (big, big + 1), (big + 1, big + 2)]
+        assert {n: js.tolist() for n, js in columns.incident.items()} == {
+            0: [0], 1: [1], big: [0, 1, 2], big + 1: [2, 3], big + 2: [3]
+        }
+        feature = ug.Subgraph.from_edges([(0, big), (big, big + 1)])
+        assert ug.featurize(ds, [feature]).values.tolist() == [[0.125], [0.0]]

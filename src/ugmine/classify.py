@@ -178,7 +178,7 @@ def evaluate(
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train_fraction must lie strictly between 0 and 1")
     y_tests = []
-    predictions: list[np.ndarray | None] = [None] * repeats
+    predictions: dict[int, np.ndarray] = {}  # by repeat, filled as each split is fitted
     # splits waiting to be featurized and trained, by the shape of their training matrix
     pending: dict[tuple[int, int], list[_Split]] = {}
 
@@ -209,8 +209,8 @@ def evaluate(
             fit(pending.pop(shape))
     for group in pending.values():
         fit(group)
-    errors = [error_rate(y, p) for y, p in zip(y_tests, predictions)]
-    f1s = [f1_score(y, p) for y, p in zip(y_tests, predictions)]
+    errors = [error_rate(y, predictions[r]) for r, y in enumerate(y_tests)]
+    f1s = [f1_score(y, predictions[r]) for r, y in enumerate(y_tests)]
     err = np.asarray(errors)
     f1 = np.asarray(f1s)
     return EvalReport(

@@ -7,6 +7,7 @@ deterministic given identical flags and inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -296,7 +297,10 @@ def _load_features(path: str) -> list[Subgraph]:
     if not os.path.isfile(path):
         raise UsageError(f"features file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+            raise ValueError(f"{path}: malformed JSON: {exc}") from exc
     raw = obj.get("features") if isinstance(obj, dict) else obj
     if not isinstance(raw, list):
         raise ValueError(f"{path}: features must be a list")
@@ -352,28 +356,14 @@ def _run_evaluate(args: argparse.Namespace) -> int:
         "repeats": args.repeats,
         "train_fraction": args.train_fraction,
         "seed": args.seed,
-        "error_rates": list(report.error_rates),
-        "f1_scores": list(report.f1_scores),
-        "mean_error": report.mean_error,
-        "std_error": report.std_error,
-        "mean_f1": report.mean_f1,
-        "std_f1": report.std_f1,
+        **dataclasses.asdict(report),
     }
     _emit(json.dumps(payload, indent=1) + "\n", args.out)
     return 0
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    stats = dataset_stats(_load_dataset(args.input))
-    payload = {
-        "n_graphs": stats.n_graphs,
-        "n_pos": stats.n_pos,
-        "n_neg": stats.n_neg,
-        "num_nodes": stats.num_nodes,
-        "mean_edges": stats.mean_edges,
-        "mean_edge_prob": stats.mean_edge_prob,
-        "empty": stats.empty,
-    }
+    payload = dataclasses.asdict(dataset_stats(_load_dataset(args.input)))
     sys.stdout.write(json.dumps(payload, indent=1) + "\n")
     return 0
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Dataset, Subgraph, UncertainGraph, containment_probability
-from .scores import ScoreFunction, score_grid
+from .scores import ScoreFunction, envelope_from_grid, score_grid
 
 EXPECTATION = "exp"
 MEDIAN = "median"
@@ -104,14 +104,9 @@ def poisson_binomial(
     return _batched_support(np.asarray(probs, dtype=float).reshape(1, -1), counter)[0]
 
 
-def support_distribution(
-    g: Subgraph,
-    graphs: Sequence[UncertainGraph],
-    counter: MultiplyAddCounter | None = None,
-) -> np.ndarray:
+def support_distribution(g: Subgraph, graphs: Sequence[UncertainGraph]) -> np.ndarray:
     """Exact law of the number of graphs in ``graphs`` whose world contains ``g``."""
-    probs = [containment_probability(g, graph) for graph in graphs]
-    return poisson_binomial(probs, counter)
+    return poisson_binomial([containment_probability(g, graph) for graph in graphs])
 
 
 def joint_distribution(pos: Sequence[float], neg: Sequence[float]) -> np.ndarray:
@@ -240,34 +235,32 @@ def phi_pr_of_pairs(pairs: Iterable[tuple[float, float]], phi: float) -> float:
 class _MeasureGrids:
     """Measure tables over the (n_pos+1) x (n_neg+1) support-pair grid.
 
-    ``grid`` holds the score of every support pair (a, b); ``envelope``, when
-    given, holds their upper envelopes and backs ``bounds``. Expectation and
+    ``grid`` holds the score of every support pair (a, b). Expectation and
     phi-probability are linear in the joint law, so each reduces to a weight
-    table (plus a +inf mask for expectation); median and mode group the cells
-    by ``score_group_key`` and walk the grouped masses.
+    table (plus a +inf mask for expectation); they alone are ``bounded``, by
+    the same weights over the grid's running maximum (``envelope_from_grid``),
+    which back ``bounds``. Median and mode group the cells by
+    ``score_group_key`` and walk the grouped masses.
     """
 
-    def __init__(
-        self, measure: MeasureSpec, grid: np.ndarray, envelope: np.ndarray | None = None
-    ) -> None:
+    def __init__(self, measure: MeasureSpec, grid: np.ndarray) -> None:
         self.kind = measure.kind
         self.phi = measure.phi
+        self.bounded = self.kind in (EXPECTATION, PHI_PROBABILITY)
         if self.kind in (MEDIAN, MODE):
             keys = np.array([score_group_key(float(s)) for s in grid.ravel()])
             self.group_scores, inverse = np.unique(keys, return_inverse=True)
             self.group_ids = inverse.ravel()
         else:
             self.weights = self._weights(grid)
-        self.env_weights = None if envelope is None else self._weights(envelope)
+            self.env_weights = self._weights(envelope_from_grid(grid))
 
     def _weights(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Finite cell weights of a linear measure, and its +inf mask if any."""
         if self.kind == EXPECTATION:
             inf = np.isinf(table)
             return np.where(inf, 0.0, table), inf.astype(float) if inf.any() else None
-        if self.kind == PHI_PROBABILITY:
-            return (table >= self.phi).astype(float), None
-        raise ValueError(f"no upper bound defined for measure {self.kind!r}")
+        return (table >= self.phi).astype(float), None
 
     @staticmethod
     def _bilinear(pos: np.ndarray, table: np.ndarray, neg: np.ndarray) -> np.ndarray:

@@ -434,7 +434,7 @@ def parse_dataset(text: bytes | str) -> Dataset:
         text = text.decode("utf-8")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise DatasetFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DatasetFormatError("top level must be a JSON object")
@@ -474,7 +474,10 @@ def parse_dataset(text: bytes | str) -> Dataset:
                 raise DatasetFormatError(f"graph {i}, edge {j}: self-loop ({u}, {v})")
             if not isinstance(p, (int, float)) or isinstance(p, bool):
                 raise DatasetFormatError(f"graph {i}, edge {j}: probability must be a number")
-            p = float(p)
+            try:
+                p = float(p)
+            except OverflowError:  # an integer beyond the float range
+                p = math.inf if p > 0 else -math.inf
             if not (0.0 < p <= 1.0) or math.isnan(p):
                 raise DatasetFormatError(
                     f"graph {i}, edge {j}: probability {p} out of range (0, 1]"

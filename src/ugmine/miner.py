@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import EXPECTATION, PHI_PROBABILITY, MeasureSpec, _batched_support, _MeasureGrids
+from .distribution import MeasureSpec, _batched_support, _MeasureGrids
 from .graphs import (
     CertainGraph,
     Dataset,
@@ -63,7 +63,7 @@ from .graphs import (
     union_graph,
 )
 from .graphs import _connected as _edges_connected
-from .scores import ScoreFunction, envelope_from_grid, score_grid
+from .scores import ScoreFunction, score_grid
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,6 @@ class _ChildList(Sequence):
         e = self.columns.edges[self.added[i]]
         return Subgraph._trusted(tuple(sorted(self.parent + (e,))))
 
-    def __eq__(self, other: object) -> bool:
-        return list(self) == other
-
 
 def children(parent: Subgraph | None, universe: CertainGraph) -> _ChildList:
     """Children of ``parent`` in the reverse-search tree over ``universe``.
@@ -273,9 +270,8 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
 
     pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
     neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
-    grid = score_grid(cfg.score, len(pos_cols), len(neg_cols))
-    bounded = prune and cfg.bound_pruning and cfg.measure.kind in (EXPECTATION, PHI_PROBABILITY)
-    grids = _MeasureGrids(cfg.measure, grid, envelope_from_grid(grid) if bounded else None)
+    grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, len(pos_cols), len(neg_cols)))
+    bounded = prune and cfg.bound_pruning and grids.bounded
 
     def expand(kids: _ChildList, contain: np.ndarray) -> list[_Node]:
         """Nodes for ``kids``, whose containment rows are ``contain``, last child first.

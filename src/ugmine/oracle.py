@@ -97,10 +97,8 @@ def enumerate_worlds(dataset: Dataset, max_worlds: int = DEFAULT_MAX_WORLDS) -> 
         yield World(tuple(graphs), p)
 
 
-def _containment_worlds(
-    g: Subgraph, dataset: Dataset
-) -> list[list[tuple[float, int, int]]]:
-    """Per graph: (probability, a-increment, b-increment) for each instantiation."""
+def _world_supports(g: Subgraph, dataset: Dataset) -> Iterator[tuple[int, int, float]]:
+    """(positive support, negative support, probability) of ``g`` in each world."""
     need = set(g.edges)
     per_graph = []
     for idx, graph in enumerate(dataset.graphs):
@@ -110,14 +108,7 @@ def _containment_worlds(
             cont = need.issubset(edges)
             entries.append((p, int(cont and is_pos), int(cont and not is_pos)))
         per_graph.append(entries)
-    return per_graph
-
-
-def oracle_joint(g: Subgraph, dataset: Dataset, max_worlds: int = DEFAULT_MAX_WORLDS) -> np.ndarray:
-    """Joint support-pair law obtained by summing over every world."""
-    _check_budget(dataset, max_worlds)
-    joint = np.zeros((dataset.n_pos + 1, dataset.n_neg + 1))
-    for combo in itertools.product(*_containment_worlds(g, dataset)):
+    for combo in itertools.product(*per_graph):
         p = 1.0
         a = 0
         b = 0
@@ -125,6 +116,14 @@ def oracle_joint(g: Subgraph, dataset: Dataset, max_worlds: int = DEFAULT_MAX_WO
             p *= gp
             a += da
             b += db
+        yield a, b, p
+
+
+def oracle_joint(g: Subgraph, dataset: Dataset, max_worlds: int = DEFAULT_MAX_WORLDS) -> np.ndarray:
+    """Joint support-pair law obtained by summing over every world."""
+    _check_budget(dataset, max_worlds)
+    joint = np.zeros((dataset.n_pos + 1, dataset.n_neg + 1))
+    for a, b, p in _world_supports(g, dataset):
         joint[a, b] += p
     return joint
 
@@ -148,14 +147,7 @@ def oracle_measure(
         raise ValueError("both classes must be nonempty")
     memo: dict[tuple[int, int], float] = {}
     pairs = []
-    for combo in itertools.product(*_containment_worlds(g, dataset)):
-        p = 1.0
-        a = 0
-        b = 0
-        for gp, da, db in combo:
-            p *= gp
-            a += da
-            b += db
+    for a, b, p in _world_supports(g, dataset):
         s = memo.get((a, b))
         if s is None:
             s = eval_score(score, a, b, n_pos, n_neg)

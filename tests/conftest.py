@@ -22,7 +22,6 @@ from ugmine import (
     Subgraph,
     UncertainGraph,
     canonical_parent,
-    envelope_table,
     fig2_dataset,
     score_grid,
     union_graph,
@@ -153,13 +152,8 @@ def eager_search(dataset: Dataset, cfg) -> tuple:
     """
     pos = [i for i, y in enumerate(dataset.labels) if y == 1]
     neg = [i for i, y in enumerate(dataset.labels) if y == -1]
-    linear = cfg.measure.kind in ("exp", "phi-pr")
-    bounded = cfg.bound_pruning and linear
-    grids = _MeasureGrids(
-        cfg.measure,
-        score_grid(cfg.score, len(pos), len(neg)),
-        envelope_table(cfg.score, len(pos), len(neg)) if linear else None,
-    )
+    grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, len(pos), len(neg)))
+    bounded = cfg.bound_pruning and grids.bounded
     universe = union_graph(dataset)
     universe_edges = sorted(universe.edges)
     edge_probs = {

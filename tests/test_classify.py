@@ -162,6 +162,27 @@ class TestEvaluate:
                 assert got.pos_dist.tobytes() == want.pos_dist.tobytes()
                 assert got.neg_dist.tobytes() == want.neg_dist.tobytes()
 
+    def test_huge_repeats_not_preallocated(self, monkeypatch):
+        """A repeat count far beyond memory starts its first splits; nothing is
+        sized by it up front."""
+
+        class Sentinel(Exception):
+            pass
+
+        calls = []
+        real_mine = ug.miner.mine
+
+        def second_call_raises(dataset, cfg):
+            calls.append(dataset)
+            if len(calls) == 2:
+                raise Sentinel
+            return real_mine(dataset, cfg)
+
+        monkeypatch.setattr(ug.miner, "mine", second_call_raises)
+        with pytest.raises(Sentinel):
+            ug.evaluate(eval_dataset(signal=True), eval_cfg(), repeats=10**23)
+        assert len(calls) == 2
+
     def test_class_required(self, fig2):
         ds = ug.Dataset(3, fig2.graphs, (1, 1, 1, 1))
         with pytest.raises(ValueError):

@@ -209,6 +209,55 @@ class TestUsageErrors:
         assert "error" in err
 
 
+class TestMalformedInput:
+    """Inputs that once ended in a traceback: exit 1 with one line on stderr."""
+
+    @staticmethod
+    def assert_one_line_error(code, out, err):
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_probability_integer_beyond_float_range(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        huge = "1" + "0" * 400
+        bad.write_text(f'{{"num_nodes": 3, "graphs": [{{"label": 1, "edges": [[0, 1, {huge}]]}}]}}')
+        code, out, err = run(capsys, "stats", "--input", str(bad))
+        self.assert_one_line_error(code, out, err)
+        assert "graph 0, edge 0: probability inf out of range (0, 1]" in err
+
+    @pytest.mark.parametrize("which", ["dataset", "features"])
+    def test_json_nested_too_deep(self, capsys, fig2_file, tmp_path, which):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        if which == "dataset":
+            argv = ["stats", "--input", str(deep)]
+        else:
+            argv = ["featurize", "--input", fig2_file, "--features", str(deep)]
+        code, out, err = run(capsys, *argv)
+        self.assert_one_line_error(code, out, err)
+        assert "malformed JSON" in err
+
+    def test_evaluate_repeats_beyond_memory(self, capsys, fig2_file, monkeypatch):
+        """The repeat count sizes nothing up front: the second split's failure
+        is what ends the run. (A real run of this many repeats never ends.)"""
+        calls = []
+        real_mine = ug.miner.mine
+
+        def second_call_fails(dataset, cfg):
+            calls.append(dataset)
+            if len(calls) == 2:
+                raise ValueError("second split failed")
+            return real_mine(dataset, cfg)
+
+        monkeypatch.setattr(ug.miner, "mine", second_call_fails)
+        code, out, err = run(
+            capsys, "evaluate", "--input", fig2_file, "--repeats", str(10**23), "--min-sup", "0"
+        )
+        self.assert_one_line_error(code, out, err)
+        assert err == "error: second split failed\n"
+
+
 class TestOracleCheck:
     def test_fig2_all_match(self, capsys, fig2_file):
         code, out, _ = run(

@@ -270,6 +270,12 @@ class TestMeasureGridRows:
         probs[rng.random(k) < 0.3] = 1.0  # certain rows put no mass on support 0
         return _batched_support(probs)
 
+    def test_bounded_exactly_for_exp_and_phi_pr(self):
+        grid = ug.score_grid(ug.ScoreFunction("hsic"), 3, 2)
+        for kind in ug.MEASURE_KINDS:
+            measure = ug.MeasureSpec(kind, 0.01 if kind == "phi-pr" else None)
+            assert _MeasureGrids(measure, grid).bounded == (kind in ("exp", "phi-pr"))
+
     def test_rows_independent_of_batch(self):
         rng = np.random.default_rng(53)
         n_pos, n_neg, k = 40, 30, 60
@@ -282,9 +288,8 @@ class TestMeasureGridRows:
             for cap in (0.0, 0.01):
                 score = ug.ScoreFunction(kind, cap)
                 grid = ug.score_grid(score, n_pos, n_neg)
-                env = ug.envelope_table(score, n_pos, n_neg)
                 for measure in (ug.MeasureSpec("exp"), ug.MeasureSpec("phi-pr", phi[kind])):
-                    grids = _MeasureGrids(measure, grid, env)
+                    grids = _MeasureGrids(measure, grid)
                     values, bounds = grids.values(pos, neg), grids.bounds(pos, neg)
                     inf_rows += int(np.isinf(values).sum())
                     assert np.all(bounds >= values)

@@ -111,11 +111,11 @@ class TestChildren:
             pairs = all_pairs(num_nodes)
             edges = rng.sample(pairs, rng.randint(1, min(12, len(pairs))))
             universe = ug.CertainGraph(num_nodes, frozenset(edges))
-            assert ug.children(None, universe) == [ug.Subgraph((e,)) for e in sorted(edges)]
+            assert list(ug.children(None, universe)) == [ug.Subgraph((e,)) for e in sorted(edges)]
             for _ in range(10):
                 parent = random_connected_subgraph(rng, sorted(edges), max_size=6)
                 kids = ug.children(parent, universe)
-                assert kids == reference_children(parent, universe)
+                assert list(kids) == reference_children(parent, universe)
                 for k in kids:
                     assert ug.Subgraph(k.edges) == k
 
@@ -245,6 +245,31 @@ class TestMine:
         assert result.stats.nodes_evaluated == 7
         assert result.stats.frequency_pruned == 0
         assert result.stats.bound_pruned == 0
+
+
+class TestMinedValuesMatchOracle:
+    def test_every_feature_every_measure_and_score(self):
+        """The value ``mine`` reports for each feature is its brute-force measure."""
+        rng = random.Random(61)
+        phi = {"conf": 0.5, "ratio": 1.0, "gtest": 1.0, "hsic": 0.01}
+        checked = infinite = 0
+        for _ in range(20):
+            ds = make_random_dataset(rng, n_graphs=rng.randint(2, 5), num_nodes=4, max_edges=2)
+            for kind in ug.SCORE_KINDS:
+                for cap in (0.0, 0.01):
+                    score = ug.ScoreFunction(kind, cap)
+                    for mk in ("exp", "median", "mode", "phi-pr"):
+                        measure = ug.MeasureSpec(mk, phi[kind] if mk == "phi-pr" else None)
+                        cfg = ug.MiningConfig(t=10**6, min_sup=0.0, measure=measure, score=score)
+                        for f in ug.mine(ds, cfg).features:
+                            want = ug.oracle_measure(f.subgraph, ds, measure, score)
+                            if math.isinf(want) or math.isinf(f.measure_value):
+                                assert f.measure_value == want, (f.subgraph, mk, kind, cap)
+                                infinite += 1
+                            else:
+                                assert abs(f.measure_value - want) <= 1e-9, (f.subgraph, mk, kind)
+                            checked += 1
+        assert checked > 1000 and 0 < infinite < checked
 
 
 def all_configs(t=3, min_sup=0.15):

@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--preset", choices=PRESETS, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--planted-prob-pos", type=float, default=0.9)
-    p.add_argument("--planted-prob-neg", type=float, default=0.1)
+    p.add_argument("--planted-prob-pos", type=float, help="default 0.9; not for fig2")
+    p.add_argument("--planted-prob-neg", type=float, help="default 0.1; not for fig2")
     p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("featurize", help="export containment-probability features as CSV")
@@ -271,24 +271,19 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
 def _run_gen(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    for flag, p in (
-        ("--planted-prob-pos", args.planted_prob_pos),
-        ("--planted-prob-neg", args.planted_prob_neg),
+    planted = {}
+    for flag, key, p in (
+        ("--planted-prob-pos", "planted_prob_pos", args.planted_prob_pos),
+        ("--planted-prob-neg", "planted_prob_neg", args.planted_prob_neg),
     ):
+        if p is None:
+            continue
+        if args.preset == "fig2":
+            raise UsageError(f"{flag} does not apply to --preset fig2")
         if not 0.0 < p <= 1.0:
             raise UsageError(f"{flag} must lie in (0, 1]")
-    dataset = make_preset(
-        args.preset,
-        seed=args.seed,
-        **(
-            {}
-            if args.preset == "fig2"
-            else {
-                "planted_prob_pos": args.planted_prob_pos,
-                "planted_prob_neg": args.planted_prob_neg,
-            }
-        ),
-    )
+        planted[key] = p
+    dataset = make_preset(args.preset, seed=args.seed, **planted)
     _emit(serialize_dataset(dataset), args.out)
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -239,8 +240,8 @@ class _MeasureGrids:
     phi-probability are linear in the joint law, so each reduces to a weight
     table (plus a +inf mask for expectation); they alone are ``bounded``, by
     the same weights over the grid's running maximum (``envelope_from_grid``),
-    which back ``bounds``. Median and mode group the cells by
-    ``score_group_key`` and walk the grouped masses.
+    which back ``bounds`` and are built when it first runs. Median and mode
+    group the cells by ``score_group_key`` and walk the grouped masses.
     """
 
     def __init__(self, measure: MeasureSpec, grid: np.ndarray) -> None:
@@ -252,8 +253,13 @@ class _MeasureGrids:
             self.group_scores, inverse = np.unique(keys, return_inverse=True)
             self.group_ids = inverse.ravel()
         else:
+            self.grid = grid
             self.weights = self._weights(grid)
-            self.env_weights = self._weights(envelope_from_grid(grid))
+
+    @cached_property
+    def env_weights(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Weights over the grid's running maximum; built on the first ``bounds`` call."""
+        return self._weights(envelope_from_grid(self.grid))
 
     def _weights(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Finite cell weights of a linear measure, and its +inf mask if any."""

@@ -10,17 +10,34 @@ generated exactly once.
 Children come from the universe's incidence index, as edge columns in
 ascending edge order. An extension is accepted when its column exceeds a
 threshold computed once per attach point (the reverse-search parent test of
-Avis & Fukuda, 1996). When a node is expanded, the expected frequencies of
-its whole child list are computed at once, and every child in the list is
-counted then. A child at or below min_sup is never a candidate and, since
-expected frequency is anti-monotone, neither is any of its descendants: the
-pruned search (``mine``) builds only the children above it, and the exhaustive
-reference (``mine_exhaustive``) builds and expands them all. The exact support
-distributions, the measure value and the bound are computed only for children
-above min_sup, in one batch per child list. Such a child is offered to a
-bounded best-t candidate list when it is popped, and ``mine`` cuts its subtree
-when, for the expectation and phi-probability measures, the dominating upper
-bound cannot beat the current t-th best value.
+Avis & Fukuda, 1996). The expected frequencies of a node's whole child list
+are computed at once. A child at or below min_sup is never a candidate and,
+since expected frequency is anti-monotone, neither is any of its
+descendants: the pruned search (``mine``) builds only the children above it,
+and the exhaustive reference (``mine_exhaustive``) builds and expands them
+all. The exact support distributions, the measure value and the bound are
+computed only for children above min_sup. Such a child is offered to a
+bounded best-t candidate list when it is popped, and ``mine`` cuts its
+subtree when, for the expectation and phi-probability measures, the
+dominating upper bound cannot beat the current t-th best value θ.
+
+Child lists are evaluated in look-ahead batches. When a popped node is to be
+expanded and its list is not yet evaluated, the next stack nodes that would
+be expanded under the current θ (bound at least θ, below max_edges) join it,
+up to ``_WINDOW`` nodes and until the batch holds ``_CELLS`` containment cells
+(rows × graphs). The batch takes one containment product, one mean, one
+support DP per class and one ``values`` and one ``bounds`` call. Each node
+keeps its own (child count, child nodes) and its list is counted only when
+that node is expanded, so the pop order, the printed counts and θ's trace
+are those of evaluating one list per expansion. This rests on three facts.
+A child list is a pure function of its parent, whatever shares its batch
+(see the last paragraph). The pop order does not depend on
+what was evaluated ahead. θ only grows, so a node below θ now is cut when it
+is popped; a node that passes now but is cut later only wastes its list.
+In ``mine`` the children of a batch hold rows of one copy of the batch's
+frequent rows, so the nodes waiting on the stack do not pin the whole batch
+product; the roots hold views of the probability matrix, and a kept
+candidate holds copies of its support laws.
 
 A search reads its dataset through the dataset's edge table
 (``graphs._EdgeTable``), built once per dataset and shared with every
@@ -31,22 +48,27 @@ numpy scatter of it. The selection and the matrix live only as long as the
 search.
 
 ``SearchStats.nodes_evaluated`` counts every tree node whose expected
-frequency was computed, built or not; a ``theta_trace`` index is that count
-when θ changed, so it advances by whole child lists.
+frequency was computed, built or not, when its parent is expanded; a list
+evaluated ahead for a node that is then cut is not counted (the traced
+``children`` calls and their output do include it). A ``theta_trace`` index
+is that count when θ changed, so it advances by whole child lists.
 
-A feature's measure value and bound are a pure function of its own support
-laws: every row of a batch is contracted with the same arithmetic, whatever
-rows share the batch. The candidate list keeps the t best features under the
-total order (measure desc, fewer edges, lexicographically smaller edge list),
-so the mined set is a pure function of the set of evaluated subgraphs,
-independent of traversal, batching or insertion order.
+A feature's expected frequency, support laws, measure value and bound do not
+depend on the rows that share its batch: the mean is taken row by row, the
+support DP's skipping of a graph whose column is zero in every row is an
+exact identity, and every row is contracted with the same arithmetic. The
+candidate list keeps the t best features under the total order (measure
+desc, fewer edges, lexicographically smaller edge list), so the mined set is
+a pure function of the set of evaluated subgraphs, independent of traversal,
+batching or insertion order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import insort
-from collections.abc import Sequence
+from bisect import bisect_left, insort
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +86,12 @@ from .graphs import (
 )
 from .graphs import _connected as _edges_connected
 from .scores import ScoreFunction, score_grid
+
+
+# A look-ahead batch takes the child lists of at most _WINDOW nodes, the popped
+# one included, and stops growing once its product holds _CELLS cells.
+_WINDOW = 64
+_CELLS = 200_000
 
 
 @dataclass(frozen=True)
@@ -224,34 +252,41 @@ class _Node:
     bound: float = math.inf
     pos_dist: np.ndarray | None = None
     neg_dist: np.ndarray | None = None
+    # (child count, child nodes last child first) once the child list has
+    # been evaluated; it is counted only when this node is expanded
+    kids: tuple[int, list[_Node]] | None = None
 
 
 class _CandidateList:
-    """Bounded best-t buffer ordered by (measure desc, fewer edges, lex edges)."""
+    """Bounded best-t buffer ordered by (measure desc, fewer edges, lex edges).
+
+    A kept feature holds copies of its support laws, so it does not pin the
+    arrays of the batch that evaluated it.
+    """
 
     def __init__(self, t: int) -> None:
         self.t = t
-        self.entries: list[tuple[tuple, _Node]] = []
+        self.entries: list[tuple[tuple, MinedFeature]] = []
 
     def theta(self) -> float:
         """Measure value of the current worst kept feature; -inf until full."""
         if len(self.entries) < self.t:
             return -math.inf
-        return self.entries[-1][1].value
+        return self.entries[-1][1].measure_value
 
     def offer(self, node: _Node) -> None:
         key = (-node.value, len(node.sub.edges), node.sub.edges)
         if len(self.entries) == self.t and key > self.entries[-1][0]:
             return
-        insort(self.entries, (key, node))
+        feature = MinedFeature(
+            node.sub, node.value, node.exp_freq, node.pos_dist.copy(), node.neg_dist.copy()
+        )
+        insort(self.entries, (key, feature))
         if len(self.entries) > self.t:
             self.entries.pop()
 
     def export(self) -> tuple[MinedFeature, ...]:
-        return tuple(
-            MinedFeature(n.sub, n.value, n.exp_freq, n.pos_dist, n.neg_dist)
-            for _, n in self.entries
-        )
+        return tuple(feature for _, feature in self.entries)
 
 
 def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
@@ -272,32 +307,71 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
     neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
     grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, len(pos_cols), len(neg_cols)))
     bounded = prune and cfg.bound_pruning and grids.bounded
+    cap = cfg.max_edges or math.inf  # max_edges is >= 1 when given
 
-    def expand(kids: _ChildList, contain: np.ndarray) -> list[_Node]:
-        """Nodes for ``kids``, whose containment rows are ``contain``, last child first.
+    def evaluate(
+        lists: list[_ChildList], contain: np.ndarray, compact: bool
+    ) -> Iterator[tuple[int, list[_Node]]]:
+        """Nodes of the child lists ``lists``, whose containment rows are
+        ``contain``, list after list; yields (child count, nodes last child
+        first) per list.
 
-        Every child is counted here; one at or below min_sup is built only
-        by the exhaustive search.
+        A child at or below min_sup is built only by the exhaustive search.
+        With ``compact`` the frequent nodes hold rows of one copy of the
+        frequent rows, so they do not keep ``contain`` alive; otherwise they
+        hold views of ``contain``.
         """
         exp_freq = contain.mean(axis=1)
-        live = np.flatnonzero(exp_freq > cfg.min_sup)
-        built = live.tolist() if prune else range(len(kids))
-        nodes = [_Node(kids[i], contain[i], float(exp_freq[i])) for i in built]
-        stats.nodes_evaluated += len(kids)
-        stats.frequency_pruned += len(kids) - len(nodes)
-        if len(live):
-            rows = contain[live]
+        live = np.flatnonzero(exp_freq > cfg.min_sup).tolist()
+        rows = contain[live]
+        if live:
             pos = _batched_support(rows[:, pos_cols])
             neg = _batched_support(rows[:, neg_cols])
             values = grids.values(pos, neg).tolist()
             bounds = grids.bounds(pos, neg).tolist() if bounded else [math.inf] * len(live)
-            frequent = [node for node in nodes if node.exp_freq > cfg.min_sup]
-            for node, value, bound, p, n in zip(frequent, values, bounds, pos, neg):
-                node.value, node.bound, node.pos_dist, node.neg_dist = value, bound, p, n
-        nodes.reverse()
-        return nodes
+        exp_freq = exp_freq.tolist()
+        held = rows if compact else contain
+        j = start = 0  # next frequent row; first row of the current list
+        for kids in lists:
+            nodes = []
+            end = start + len(kids)
+            built = live[j : bisect_left(live, end, j)] if prune else range(start, end)
+            for i in built:
+                node = _Node(kids[i - start], held[j if compact else i], exp_freq[i])
+                if exp_freq[i] > cfg.min_sup:
+                    node.value, node.bound = values[j], bounds[j]
+                    node.pos_dist, node.neg_dist = pos[j], neg[j]
+                    j += 1
+                nodes.append(node)
+            nodes.reverse()
+            yield len(kids), nodes
+            start = end
 
-    stack = expand(children(None, universe), probs)
+    def look_ahead(node: _Node) -> None:
+        """Evaluate the child lists of ``node`` and of the next stack nodes
+        that would be expanded under the current theta, in one batch."""
+        batch, lists, n_rows = [], [], 0
+        for other in itertools.chain((node,), itertools.islice(reversed(stack), _WINDOW - 1)):
+            if other.kids is not None or other.bound < theta or len(other.sub.edges) >= cap:
+                continue
+            kids = children(other.sub, universe)
+            batch.append(other)
+            lists.append(kids)
+            n_rows += len(kids)
+            if n_rows * n_graphs >= _CELLS:
+                break
+        contain = np.empty((n_rows, n_graphs))
+        start = 0
+        for parent, kids in zip(batch, lists):
+            end = start + len(kids)
+            np.multiply(parent.contain, probs[kids.added], out=contain[start:end])
+            start = end
+        for parent, kids in zip(batch, evaluate(lists, contain, compact=prune)):
+            parent.kids = kids
+
+    n_graphs = probs.shape[1]
+    ((count, stack),) = evaluate([children(None, universe)], probs, compact=False)
+    stats.nodes_evaluated, stats.frequency_pruned = count, count - len(stack)
     theta = -math.inf
     while stack:
         node = stack.pop()
@@ -311,12 +385,15 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
         if node.bound < theta:
             stats.bound_pruned += 1
             continue
-        if cfg.max_edges is not None and len(node.sub.edges) >= cfg.max_edges:
+        if len(node.sub.edges) >= cap:
             continue
 
-        kids = children(node.sub, universe)
-        if len(kids):
-            stack += expand(kids, node.contain * probs[kids.added])
+        if node.kids is None:
+            look_ahead(node)
+        (count, kids), node.kids = node.kids, None
+        stats.nodes_evaluated += count
+        stats.frequency_pruned += count - len(kids)
+        stack += kids
 
     return MiningResult(cands.export(), stats)
 

@@ -324,6 +324,29 @@ class TestGen:
         assert err.startswith("error:") and "--seed" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--planted-prob-pos", "0.3"],
+            ["--planted-prob-neg", "0.7"],
+            ["--planted-prob-pos", "0.3", "--planted-prob-neg", "0.7"],
+        ],
+    )
+    def test_fig2_rejects_planted_probs(self, capsys, flags):
+        code, out, err = run(capsys, "gen", "--preset", "fig2", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flags[0] in err and "fig2" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("preset", ["adhd-like", "adni-like", "hiv-like"])
+    def test_planted_prob_defaults(self, capsys, preset):
+        _, plain, _ = run(capsys, "gen", "--preset", preset, "--seed", "2")
+        flags = ["--planted-prob-pos", "0.9", "--planted-prob-neg", "0.1"]
+        _, explicit, _ = run(capsys, "gen", "--preset", preset, "--seed", "2", *flags)
+        _, other, _ = run(capsys, "gen", "--preset", preset, "--seed", "2", flags[0], "0.3")
+        assert plain == explicit != other
+
     def test_gen_deterministic(self, capsys):
         _, out1, _ = run(capsys, "gen", "--preset", "hiv-like", "--seed", "9")
         _, out2, _ = run(capsys, "gen", "--preset", "hiv-like", "--seed", "9")

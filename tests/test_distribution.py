@@ -276,6 +276,29 @@ class TestMeasureGridRows:
             measure = ug.MeasureSpec(kind, 0.01 if kind == "phi-pr" else None)
             assert _MeasureGrids(measure, grid).bounded == (kind in ("exp", "phi-pr"))
 
+    def test_envelope_built_on_first_bounds(self, monkeypatch):
+        import ugmine.distribution as distribution
+
+        calls = []
+        real = distribution.envelope_from_grid
+
+        def spy(grid):
+            calls.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(distribution, "envelope_from_grid", spy)
+        rng = np.random.default_rng(7)
+        pos, neg = self.laws(rng, 5, 6), self.laws(rng, 5, 4)
+        grid = ug.score_grid(ug.ScoreFunction("conf"), 6, 4)
+        grids = _MeasureGrids(ug.MeasureSpec("exp"), grid)
+        grids.values(pos, neg)
+        assert calls == []
+        bounds = grids.bounds(pos, neg)
+        grids.bounds(pos, neg)
+        assert len(calls) == 1 and calls[0] is grid
+        expected = _MeasureGrids._bilinear(pos, real(grid), neg)
+        assert np.array_equal(bounds, expected)
+
     def test_rows_independent_of_batch(self):
         rng = np.random.default_rng(53)
         n_pos, n_neg, k = 40, 30, 60

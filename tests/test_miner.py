@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import random
@@ -270,6 +271,79 @@ class TestMinedValuesMatchOracle:
                                 assert abs(f.measure_value - want) <= 1e-9, (f.subgraph, mk, kind)
                             checked += 1
         assert checked > 1000 and 0 < infinite < checked
+
+
+def _bitwise(result):
+    """A result's features, values, distributions and stats, compared bit for bit."""
+    features = [
+        (
+            f.subgraph.edges,
+            f.measure_value.hex(),
+            f.exp_freq.hex(),
+            f.pos_dist.tobytes(),
+            f.neg_dist.tobytes(),
+        )
+        for f in result.features
+    ]
+    stats = result.stats
+    trace = [(n, theta.hex()) for n, theta in stats.theta_trace]
+    return features, stats.nodes_evaluated, stats.frequency_pruned, stats.bound_pruned, trace
+
+
+class TestLookAhead:
+    """Child lists evaluated ahead, in one batch with the popped node's, change
+    no output and no count, whatever the window and the cell budget."""
+
+    LIMITS = [(1, 1), (miner._WINDOW, miner._CELLS), (10**6, 10**12)]
+
+    def test_independent_of_batch_limits(self, monkeypatch):
+        calls = [0]
+        real = miner.children
+
+        def counted(parent, universe):
+            calls[0] += 1
+            return real(parent, universe)
+
+        monkeypatch.setattr(miner, "children", counted)
+        rng = random.Random(67)
+        phi = {"conf": 0.5, "ratio": 1.0, "gtest": 1.0, "hsic": 0.01}
+        cut_ahead = 0
+        for _ in range(10):
+            # graphs of up to 4 edges, so that rows held by batch nodes are read
+            ds = make_random_dataset(rng, n_graphs=rng.randint(2, 5), num_nodes=4, max_edges=4)
+            for kind in ug.SCORE_KINDS:
+                for mk in ("exp", "median", "mode", "phi-pr"):
+                    # a small t raises theta early; a huge one reports every feature
+                    for t, max_edges in itertools.product((2, 10**6), (None, 2)):
+                        measure = ug.MeasureSpec(mk, phi[kind] if mk == "phi-pr" else None)
+                        cfg = ug.MiningConfig(
+                            t=t, min_sup=0.2, measure=measure,
+                            score=ug.ScoreFunction(kind), max_edges=max_edges,
+                        )
+                        features, *counts = eager_search(ds, cfg)
+                        for run in (ug.mine, ug.mine_exhaustive):
+                            seen = []
+                            for window, cells in self.LIMITS:
+                                monkeypatch.setattr(miner, "_WINDOW", window)
+                                monkeypatch.setattr(miner, "_CELLS", cells)
+                                calls[0] = 0
+                                result = run(ds, cfg)
+                                seen.append((_bitwise(result), calls[0]))
+                            assert all(got == seen[0][0] for got, _ in seen)
+                            if run is ug.mine:
+                                stats = result.stats
+                                assert [
+                                    stats.nodes_evaluated, stats.frequency_pruned,
+                                    stats.bound_pruned, stats.theta_trace,
+                                ] == counts
+                                assert [
+                                    (f.subgraph.edges, f.measure_value) for f in result.features
+                                ] == features
+                            # without look-ahead, children runs once per expansion;
+                            # any extra call evaluated a list for a node later cut
+                            assert seen[-1][1] >= seen[0][1]
+                            cut_ahead += seen[-1][1] > seen[0][1]
+        assert cut_ahead > 0
 
 
 def all_configs(t=3, min_sup=0.15):

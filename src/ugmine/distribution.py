@@ -293,8 +293,19 @@ class _MeasureGrids:
         return self._linear(pos, neg, self.weights)
 
     def bounds(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-        """Envelope bound of each product law outer(pos[i], neg[i])."""
-        return self._linear(pos, neg, self.env_weights)
+        """Envelope bound of each product law outer(pos[i], neg[i]), raised
+        past rounding error.
+
+        Every mass and weight is nonnegative, so a computed value or bound is
+        within a relative 3 (n_pos + n_neg + 2) ε or so of its exact value:
+        about 2 m ε from the support DP over m graphs, and n_pos + n_neg from
+        the contraction. The exact bound is at least the exact value of every
+        supergraph; raised by 8 (n_pos + n_neg + 2) ε, the computed bound is
+        at least every supergraph's computed value too. Unraised, it can be
+        an ulp below a supergraph's value of 1.0 and cut a tie at θ.
+        """
+        slack = 1.0 + 8 * sum(self.grid.shape) * np.finfo(float).eps
+        return self._linear(pos, neg, self.env_weights) * slack
 
     def group_masses(self, joint: np.ndarray) -> np.ndarray:
         """Joint mass of each score group, aligned with ``group_scores``."""

@@ -10,26 +10,37 @@ generated exactly once.
 Children come from the universe's incidence index, as edge columns in
 ascending edge order. An extension is accepted when its column exceeds a
 threshold computed once per attach point (the reverse-search parent test of
-Avis & Fukuda, 1996). The expected frequencies of a node's whole child list
-are computed at once. A child at or below min_sup is never a candidate and,
-since expected frequency is anti-monotone, neither is any of its
-descendants: the pruned search (``mine``) builds only the children above it,
-and the exhaustive reference (``mine_exhaustive``) builds and expands them
-all. The exact support distributions, the measure value and the bound are
+Avis & Fukuda, 1996). For a tree parent, a pendant edge's threshold is read
+off its leaf edges: the largest leaf edge whose leaf is not the attach point
+(both ends of a one-edge parent are leaves), since a tree's removable edges
+are its leaf edges. Chords, and every attach point of a parent with a cycle,
+get theirs from connectivity tests (``_threshold``). A child at or below
+min_sup is never a candidate and, since expected frequency is
+anti-monotone, neither is any of its descendants: the pruned search
+(``mine``) builds only the children above it, and the exhaustive reference
+(``mine_exhaustive``) builds and expands them all. ``mine`` first counts the
+graphs in which a child's added edge and its parent are both nonzero, from
+one bitset per universe edge, and computes the containment row and expected
+frequency only of a child whose count, over the number of graphs, exceeds
+min_sup; every other child has a mean of at most that ratio, so it is
+infrequent (see ``_may_be_frequent``). ``mine_exhaustive`` computes every
+row. The exact support distributions, the measure value and the bound are
 computed only for children above min_sup. Such a child is offered to a
 bounded best-t candidate list when it is popped, and ``mine`` cuts its
 subtree when, for the expectation and phi-probability measures, the
-dominating upper bound cannot beat the current t-th best value θ.
+dominating upper bound, raised past rounding error, is below the current
+t-th best value θ.
 
 Child lists are evaluated in look-ahead batches. When a popped node is to be
 expanded and its list is not yet evaluated, the next stack nodes that would
 be expanded under the current θ (bound at least θ, below max_edges) join it,
 up to ``_WINDOW`` nodes and until the batch holds ``_CELLS`` containment cells
-(rows × graphs). The batch takes one containment product, one mean, one
-support DP per class and one ``values`` and one ``bounds`` call. Each node
-keeps its own (child count, child nodes) and its list is counted only when
-that node is expanded, so the pop order, the printed counts and θ's trace
-are those of evaluating one list per expansion. This rests on three facts.
+(rows × graphs), counting every child row, computed or not. The batch takes
+one count test, one containment product, one mean, one support DP per class
+and one ``values`` and one ``bounds`` call. Each node keeps its own (child
+count, child nodes) and its list is counted only when that node is
+expanded, so the pop order, the printed counts and θ's trace are those of
+evaluating one list per expansion. This rests on three facts.
 A child list is a pure function of its parent, whatever shares its batch
 (see the last paragraph). The pop order does not depend on
 what was evaluated ahead. θ only grows, so a node below θ now is cut when it
@@ -44,14 +55,15 @@ A search reads its dataset through the dataset's edge table
 ``Dataset.subset`` of it. ``_search`` selects the table entries of the
 dataset's graphs once; ``union_graph`` takes its edges and their endpoints
 from that selection, and the dense edge-by-graph probability matrix is one
-numpy scatter of it. The selection and the matrix live only as long as the
-search.
+numpy scatter of it; ``mine`` reads the edge bitsets of its count test off
+the matrix a block of rows at a time, so no whole-matrix mask is held. The
+selection, the matrix and the bitsets live only as long as the search.
 
-``SearchStats.nodes_evaluated`` counts every tree node whose expected
-frequency was computed, built or not, when its parent is expanded; a list
-evaluated ahead for a node that is then cut is not counted (the traced
-``children`` calls and their output do include it). A ``theta_trace`` index
-is that count when θ changed, so it advances by whole child lists.
+``SearchStats.nodes_evaluated`` counts every child of an expanded node,
+built or not, when its parent is expanded; a list evaluated ahead for a
+node that is then cut is not counted (the traced ``children`` calls and
+their output do include it). A ``theta_trace`` index is that count when θ
+changed, so it advances by whole child lists.
 
 A feature's expected frequency, support laws, measure value and bound do not
 depend on the rows that share its batch: the mean is taken row by row, the
@@ -68,6 +80,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, insort
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -183,6 +196,23 @@ def _threshold(columns: EdgeColumns, edges: tuple[Edge, ...], e: Edge) -> int:
     return -1
 
 
+def _leaf_thresholds(columns: EdgeColumns, edges: tuple[Edge, ...], nodes: list[int]) -> list[int]:
+    """``_threshold`` of a pendant edge at each of ``nodes``, for a tree ``edges``
+    of two or more edges.
+
+    Adding a pendant edge at a keeps a tree, whose removable edges are its
+    leaf edges: the parent's leaf edges whose leaf is not a, and the new
+    edge, which is not a parent edge. A tree of two or more edges has at
+    least two leaf edges, each with one leaf.
+    """
+    degree = Counter(itertools.chain.from_iterable(edges))
+    leafy = [e for e in reversed(edges) if degree[e[0]] == 1 or degree[e[1]] == 1]
+    top, second = columns.column[leafy[0]], columns.column[leafy[1]]
+    u, v = leafy[0]
+    lone = u if degree[u] == 1 else v
+    return [second if a == lone else top for a in nodes]
+
+
 class _ChildList(Sequence):
     """Children of one parent, held as the columns of their added edges.
 
@@ -221,11 +251,22 @@ def children(parent: Subgraph | None, universe: CertainGraph) -> _ChildList:
     if parent is None:
         return _ChildList((), np.arange(len(columns.edges)), columns)
     edges = parent.edges
+    if len(edges) == 1:
+        # both ends are leaves, so every extension is pendant with the parent
+        # edge as its threshold, and the parent edge is the only shared column.
+        # The edges kept at u are (u, y) and those kept at v are (x, v) or
+        # (v, y) with x > u, so the concatenation stays ascending.
+        ((u, v),) = edges
+        near = np.concatenate([columns.incident[u], columns.incident[v]])
+        return _ChildList(edges, near[near > columns.column[edges[0]]], columns)
     nodes = sorted(parent.nodes)
     incident = [columns.incident[a] for a in nodes]
     near = np.concatenate(incident)
-    # a pendant edge's threshold is its attach node's; -1 stands for its new node
-    per_node = [_threshold(columns, edges, (a, -1)) for a in nodes]
+    # a pendant edge's threshold is its attach node's
+    if len(edges) + 1 == len(nodes):
+        per_node = _leaf_thresholds(columns, edges, nodes)
+    else:  # -1 stands for the pendant edge's new node
+        per_node = [_threshold(columns, edges, (a, -1)) for a in nodes]
     threshold = np.repeat(per_node, [len(js) for js in incident])
     order = near.argsort()
     near, threshold = near[order], threshold[order]
@@ -289,6 +330,30 @@ class _CandidateList:
         return tuple(feature for _, feature in self.entries)
 
 
+def _nonzero_words(rows: np.ndarray) -> np.ndarray:
+    """Bitset of the graphs where each row of ``rows`` is nonzero, as 64-bit words."""
+    packed = np.packbits(rows > 0, axis=1)
+    words = np.zeros((len(rows), -(-rows.shape[1] // 64) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
+def _may_be_frequent(
+    parents: np.ndarray, owner: np.ndarray, edges: np.ndarray, min_sup: float
+) -> np.ndarray:
+    """The children whose containment row may have a mean above ``min_sup``.
+
+    Child r is the parent row ``parents[owner[r]]`` times an edge row that is
+    nonzero in the graphs of the bitset ``edges[r]`` (see ``_nonzero_words``).
+    A row nonzero in k of its G entries, each at most 1, sums to at most k
+    and has a mean of at most fl(k / G), since rounding is monotone. So a
+    child that shares k graphs with its parent is kept iff k / G > min_sup,
+    and no child dropped here is above min_sup.
+    """
+    shared = np.bitwise_count(edges & _nonzero_words(parents)[owner]).sum(axis=1)
+    return np.flatnonzero(shared / parents.shape[1] > min_sup)
+
+
 def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
     if dataset.n_pos < 1 or dataset.n_neg < 1:
         raise ValueError("mining requires at least one graph of each class")
@@ -309,47 +374,65 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
     bounded = prune and cfg.bound_pruning and grids.bounded
     cap = cfg.max_edges or math.inf  # max_edges is >= 1 when given
 
-    def evaluate(
-        lists: list[_ChildList], contain: np.ndarray, compact: bool
-    ) -> Iterator[tuple[int, list[_Node]]]:
-        """Nodes of the child lists ``lists``, whose containment rows are
-        ``contain``, list after list; yields (child count, nodes last child
-        first) per list.
+    n_graphs = probs.shape[1]
+    if prune:
+        # the graphs where each universe edge has nonzero probability, built a
+        # block of rows at a time so that no whole-matrix mask is held
+        nonzero = np.empty((len(probs), -(-n_graphs // 64)), dtype=np.uint64)
+        step = max(1, _CELLS // n_graphs)
+        for i in range(0, len(probs), step):
+            nonzero[i : i + step] = _nonzero_words(probs[i : i + step])
 
-        A child at or below min_sup is built only by the exhaustive search.
-        With ``compact`` the frequent nodes hold rows of one copy of the
-        frequent rows, so they do not keep ``contain`` alive; otherwise they
-        hold views of ``contain``.
+    def evaluate(
+        lists: list[_ChildList], contain: np.ndarray, index: np.ndarray, compact: bool
+    ) -> Iterator[tuple[int, list[_Node]]]:
+        """Nodes of the child lists ``lists``, list after list; yields (child
+        count, nodes last child first) per list.
+
+        Row r of ``contain`` is the containment row of child ``index[r]`` of
+        the lists' concatenation, ``index`` ascending; a child it leaves out
+        cannot be above min_sup. A child at or below min_sup is built only by
+        the exhaustive search, which is given every row. With ``compact`` the
+        frequent nodes hold rows of one copy of the frequent rows, so they do
+        not keep ``contain`` alive; otherwise they hold views of ``contain``.
         """
         exp_freq = contain.mean(axis=1)
-        live = np.flatnonzero(exp_freq > cfg.min_sup).tolist()
+        live = np.flatnonzero(exp_freq > cfg.min_sup)
         rows = contain[live]
-        if live:
+        if len(live):
             pos = _batched_support(rows[:, pos_cols])
             neg = _batched_support(rows[:, neg_cols])
             values = grids.values(pos, neg).tolist()
             bounds = grids.bounds(pos, neg).tolist() if bounded else [math.inf] * len(live)
+        built = live if prune else np.arange(len(index))
+        at = index[built].tolist()  # the child index of each row built
+        built = built.tolist()
         exp_freq = exp_freq.tolist()
         held = rows if compact else contain
-        j = start = 0  # next frequent row; first row of the current list
+        j = k = start = 0  # next frequent row; next row built; first child of the list
         for kids in lists:
             nodes = []
             end = start + len(kids)
-            built = live[j : bisect_left(live, end, j)] if prune else range(start, end)
-            for i in built:
-                node = _Node(kids[i - start], held[j if compact else i], exp_freq[i])
-                if exp_freq[i] > cfg.min_sup:
+            stop = bisect_left(at, end, k)
+            for r, i in zip(built[k:stop], at[k:stop]):
+                node = _Node(kids[i - start], held[j if compact else r], exp_freq[r])
+                if exp_freq[r] > cfg.min_sup:
                     node.value, node.bound = values[j], bounds[j]
                     node.pos_dist, node.neg_dist = pos[j], neg[j]
                     j += 1
                 nodes.append(node)
             nodes.reverse()
             yield len(kids), nodes
-            start = end
+            start, k = end, stop
 
     def look_ahead(node: _Node) -> None:
         """Evaluate the child lists of ``node`` and of the next stack nodes
-        that would be expanded under the current theta, in one batch."""
+        that would be expanded under the current theta, in one batch.
+
+        ``mine`` multiplies out only the children that share more than
+        min_sup of the graphs with their parent; the others cannot be above
+        min_sup, since each term of a row's mean is at most 1.
+        """
         batch, lists, n_rows = [], [], 0
         for other in itertools.chain((node,), itertools.islice(reversed(stack), _WINDOW - 1)):
             if other.kids is not None or other.bound < theta or len(other.sub.edges) >= cap:
@@ -360,17 +443,25 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
             n_rows += len(kids)
             if n_rows * n_graphs >= _CELLS:
                 break
-        contain = np.empty((n_rows, n_graphs))
-        start = 0
-        for parent, kids in zip(batch, lists):
-            end = start + len(kids)
-            np.multiply(parent.contain, probs[kids.added], out=contain[start:end])
-            start = end
-        for parent, kids in zip(batch, evaluate(lists, contain, compact=prune)):
+        owner = np.repeat(np.arange(len(batch)), [len(kids) for kids in lists])
+        added = np.concatenate([kids.added for kids in lists])
+        index = np.arange(n_rows)
+        if prune:
+            parents = np.array([parent.contain for parent in batch])
+            index = _may_be_frequent(parents, owner, nonzero[added], cfg.min_sup)
+            owner, added = owner[index], added[index]
+        # multiplied in place, parent by parent: a gathered copy of the parent
+        # rows would double the memory of a batch whose rows are all computed
+        contain = probs[added]
+        ends = np.searchsorted(owner, np.arange(1, len(batch) + 1)).tolist()
+        for parent, start, end in zip(batch, [0] + ends, ends):
+            contain[start:end] *= parent.contain
+        for parent, kids in zip(batch, evaluate(lists, contain, index, compact=prune)):
             parent.kids = kids
 
-    n_graphs = probs.shape[1]
-    ((count, stack),) = evaluate([children(None, universe)], probs, compact=False)
+    ((count, stack),) = evaluate(
+        [children(None, universe)], probs, np.arange(len(probs)), compact=False
+    )
     stats.nodes_evaluated, stats.frequency_pruned = count, count - len(stack)
     theta = -math.inf
     while stack:

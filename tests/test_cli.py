@@ -445,11 +445,12 @@ class TestModuleEntryPoint:
     """``python -m ugmine`` runs the CLI from a source checkout."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_module(*argv, text=True, **env_vars):
+        """Run ``python -m ugmine argv``, with ``env_vars`` added to the environment."""
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=src, **env_vars)
         return subprocess.run(
-            [sys.executable, "-m", "ugmine", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "ugmine", *argv], capture_output=True, text=text, env=env
         )
 
     def test_help(self):
@@ -462,3 +463,15 @@ class TestModuleEntryPoint:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == "error: --seed must be >= 0\n"
+
+    def test_stdout_independent_of_blas_threads(self, tmp_path, monkeypatch):
+        # the default run sets no thread count, so the BLAS library picks its own
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        data = str(tmp_path / "hiv-like.json")
+        assert self.run_module("gen", "--preset", "hiv-like", "--out", data).returncode == 0
+        argv = ("mine", "--input", data, "--top", "20", "--min-sup", "0.1", "--max-edges", "2")
+        one = self.run_module(*argv, text=False, OPENBLAS_NUM_THREADS="1")
+        default = self.run_module(*argv, text=False)
+        assert one.returncode == default.returncode == 0
+        assert one.stdout and one.stdout == default.stdout

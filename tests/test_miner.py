@@ -155,7 +155,7 @@ class TestThresholdRule:
             yield rng, cyclic_universe(rng), 8
 
     def test_matches_definition(self):
-        chords = bridged = 0
+        chords = bridged = one_edge = trees = cyclic = 0
         for rng, universe, count in self.universes():
             edges = sorted(universe.edges)
             for _ in range(count):
@@ -163,6 +163,10 @@ class TestThresholdRule:
                 nodes = parent.nodes
                 expected = reference_children(parent, universe)
                 assert list(ug.children(parent, universe)) == expected
+                # tree parents take the leaf-edge rule, the others _threshold
+                one_edge += len(parent.edges) == 1
+                trees += len(parent.edges) > 1 and len(parent.edges) + 1 == len(nodes)
+                cyclic += len(parent.edges) >= len(nodes)
                 chords += sum(
                     1 for e in universe.extensions(parent.edges)
                     if e[0] in nodes and e[1] in nodes
@@ -172,8 +176,10 @@ class TestThresholdRule:
                     not _subset_connected(parent.edges[:i] + parent.edges[i + 1 :])
                     for i in range(len(parent.edges))
                 )
-        # the draw covers the attach points that need their own threshold
+        # the draw covers the attach points that need their own threshold,
+        # and both threshold rules (82, 309 and 49 parents at this seed)
         assert chords > 100 and bridged > 20
+        assert one_edge > 40 and trees > 150 and cyclic > 25
 
 
 class TestMine:
@@ -344,6 +350,88 @@ class TestLookAhead:
                             assert seen[-1][1] >= seen[0][1]
                             cut_ahead += seen[-1][1] > seen[0][1]
         assert cut_ahead > 0
+
+
+def edge_probability(rng):
+    """A probability for the count test: certain edges, subnormals whose
+    products underflow to 0, and ordinary values."""
+    return rng.choice([1.0, 1.0, 5e-324, 1e-310, rng.uniform(0.05, 1.0)])
+
+
+def sparse_rows(rng, n, n_graphs):
+    """``n`` rows of ``n_graphs`` entries, 0 with probability 0.4."""
+    return np.array([
+        [edge_probability(rng) if rng.random() < 0.6 else 0.0 for _ in range(n_graphs)]
+        for _ in range(n)
+    ])
+
+
+class TestCountTest:
+    """``mine`` multiplies out only the children that share more than min_sup
+    of the graphs with their parent; it drops no child above min_sup and
+    changes no output and no count."""
+
+    def test_keeps_every_frequent_row(self):
+        rng = random.Random(71)
+        dropped = 0
+        # graph counts on both sides of a 64-bit word boundary
+        for n_graphs in (1, 63, 64, 65, 129):
+            parents, edges = sparse_rows(rng, 4, n_graphs), sparse_rows(rng, 40, n_graphs)
+            owner = np.array([rng.randrange(4) for _ in range(40)])
+            means = (parents[owner] * edges).mean(axis=1)
+            words = miner._nonzero_words(edges)
+            for k in range(n_graphs + 1):
+                min_sup = k / n_graphs
+                kept = miner._may_be_frequent(parents, owner, words, min_sup)
+                assert set(np.flatnonzero(means > min_sup)) <= set(kept.tolist())
+                dropped += len(edges) - len(kept)
+        assert dropped > 0
+
+    def test_mine_unchanged(self, monkeypatch):
+        calls = [0, 0]  # rows tested, rows dropped
+        real = miner._may_be_frequent
+
+        def counted(parents, owner, edges, min_sup):
+            kept = real(parents, owner, edges, min_sup)
+            calls[0] += len(owner)
+            calls[1] += len(owner) - len(kept)
+            return kept
+
+        monkeypatch.setattr(miner, "_may_be_frequent", counted)
+        rng = random.Random(73)
+        pairs = all_pairs(4)
+        for n_graphs in (2, 63, 64, 65, 129):
+            graphs = [
+                ug.UncertainGraph(4, {e: edge_probability(rng) for e in rng.sample(pairs, 4)})
+                for _ in range(n_graphs)
+            ]
+            labels = [1, -1] + [rng.choice([1, -1]) for _ in range(n_graphs - 2)]
+            ds = ug.Dataset(4, tuple(graphs), tuple(labels))
+            for k in (1, n_graphs // 4, n_graphs // 2):
+                for measure, kind in (("phi-pr", "ratio"), ("exp", "conf"), ("median", "hsic")):
+                    cfg = ug.MiningConfig(
+                        t=3, min_sup=k / n_graphs,
+                        measure=ug.MeasureSpec(measure, 1.0 if measure == "phi-pr" else None),
+                        score=ug.ScoreFunction(kind),
+                    )
+                    features, *counts = eager_search(ds, cfg)
+                    for window, cells in TestLookAhead.LIMITS:
+                        monkeypatch.setattr(miner, "_WINDOW", window)
+                        monkeypatch.setattr(miner, "_CELLS", cells)
+                        result = ug.mine(ds, cfg)
+                        stats = result.stats
+                        assert [
+                            stats.nodes_evaluated, stats.frequency_pruned,
+                            stats.bound_pruned, stats.theta_trace,
+                        ] == counts
+                        assert [
+                            (f.subgraph.edges, f.measure_value) for f in result.features
+                        ] == features
+                    full = ug.mine_exhaustive(ds, cfg)
+                    assert [
+                        (f.subgraph.edges, f.measure_value, f.exp_freq) for f in result.features
+                    ] == [(f.subgraph.edges, f.measure_value, f.exp_freq) for f in full.features]
+        assert calls[1] > 0 and calls[1] < calls[0]
 
 
 def all_configs(t=3, min_sup=0.15):

@@ -296,13 +296,31 @@ class _MeasureGrids:
         """Envelope bound of each product law outer(pos[i], neg[i]), raised
         past rounding error.
 
-        Every mass and weight is nonnegative, so a computed value or bound is
-        within a relative 3 (n_pos + n_neg + 2) ε or so of its exact value:
-        about 2 m ε from the support DP over m graphs, and n_pos + n_neg from
-        the contraction. The exact bound is at least the exact value of every
-        supergraph; raised by 8 (n_pos + n_neg + 2) ε, the computed bound is
-        at least every supergraph's computed value too. Unraised, it can be
-        an ulp below a supergraph's value of 1.0 and cut a tie at θ.
+        A descendant in the search tree gets its containment row by
+        multiplying this row by edge rows with entries at most 1, so it is at
+        most this row entrywise, also as computed: fl(a b) ≤ a when b ≤ 1. On
+        the computed rows, then, the exact bound is at least the exact value
+        of every descendant. Rounding is what can reverse that.
+
+        Let u = ε/2 be the unit roundoff and n = n_pos + n_neg. All masses
+        and weights are nonnegative, so a computed result is its exact sum of
+        terms, each term times at most k factors (1 + δ) with |δ| ≤ u: 3 per
+        folded graph in the support DP (for q = 1 - p, a product and a sum),
+        so 3 n over both laws, and n + 2 in the contraction (n_pos + 1 for
+        ``pos @ table``, 1 for ``* neg``, n_neg for the sum). With
+        k = 4 n + 2, a computed value is at most (1 + u)^k times its exact
+        value, a computed bound at least (1 - u)^k times its exact bound, and
+        the raise rounds once more. So the raised bound is at least every
+        descendant's computed value when the slack is at least
+        (1 + u)^k / (1 - u)^(k + 1), about 1 + (8 n + 5) u. The slack is
+        1 + 8 (n + 2) ε = 1 + (16 n + 32) u, twice that. Unraised, a bound
+        can be an ulp below a descendant's value of 1.0 and cut a tie at θ.
+
+        The model breaks where a product underflows below 2^-1022: its error
+        is then absolute, at most 2^-1075 times the weights it later meets.
+        Summed over the O(n²) operations, that stays inside the slack for a
+        θ of at least about n w 2^-1022, w the largest weight; a smaller θ
+        can lose a tie.
         """
         slack = 1.0 + 8 * sum(self.grid.shape) * np.finfo(float).eps
         return self._linear(pos, neg, self.env_weights) * slack

@@ -10,26 +10,23 @@ generated exactly once.
 Children come from the universe's incidence index, as edge columns in
 ascending edge order. An extension is accepted when its column exceeds a
 threshold computed once per attach point (the reverse-search parent test of
-Avis & Fukuda, 1996). For a tree parent, a pendant edge's threshold is read
-off its leaf edges: the largest leaf edge whose leaf is not the attach point
-(both ends of a one-edge parent are leaves), since a tree's removable edges
-are its leaf edges. Chords, and every attach point of a parent with a cycle,
-get theirs from connectivity tests (``_threshold``). A child at or below
-min_sup is never a candidate and, since expected frequency is
-anti-monotone, neither is any of its descendants: the pruned search
-(``mine``) builds only the children above it, and the exhaustive reference
-(``mine_exhaustive``) builds and expands them all. ``mine`` first counts the
-graphs in which a child's added edge and its parent are both nonzero, from
-one bitset per universe edge, and computes the containment row and expected
-frequency only of a child whose count, over the number of graphs, exceeds
-min_sup; every other child has a mean of at most that ratio, so it is
-infrequent (see ``_may_be_frequent``). ``mine_exhaustive`` computes every
-row. The exact support distributions, the measure value and the bound are
-computed only for children above min_sup. Such a child is offered to a
-bounded best-t candidate list when it is popped, and ``mine`` cuts its
-subtree when, for the expectation and phi-probability measures, the
-dominating upper bound, raised past rounding error, is below the current
-t-th best value θ.
+Avis & Fukuda, 1996), from connectivity tests (``_threshold``); a one-edge
+parent needs none, since both its ends are leaves and its own edge is every
+extension's threshold. A child at or below min_sup is never a candidate and,
+since expected frequency is anti-monotone, neither is any of its
+descendants: the pruned search (``mine``) builds only the children above it,
+and the exhaustive reference (``mine_exhaustive``) builds and expands them
+all. ``mine`` first counts the graphs in which a child's added edge and its
+parent are both nonzero, from one bitset per universe edge, and computes the
+containment row and expected frequency only of a child whose count, over the
+number of graphs, exceeds min_sup; every other child has a mean of at most
+that ratio, so it is infrequent (see ``_may_be_frequent``).
+``mine_exhaustive`` computes every row. The exact support distributions, the
+measure value and the bound are computed only for children above min_sup.
+Such a child is offered to a bounded best-t candidate list when it is
+popped, and ``mine`` cuts its subtree when, for the expectation and
+phi-probability measures, the dominating upper bound, raised past rounding
+error, is below the current t-th best value θ.
 
 Child lists are evaluated in look-ahead batches. When a popped node is to be
 expanded and its list is not yet evaluated, the next stack nodes that would
@@ -55,9 +52,10 @@ A search reads its dataset through the dataset's edge table
 ``Dataset.subset`` of it. ``_search`` selects the table entries of the
 dataset's graphs once; ``union_graph`` takes its edges and their endpoints
 from that selection, and the dense edge-by-graph probability matrix is one
-numpy scatter of it; ``mine`` reads the edge bitsets of its count test off
-the matrix a block of rows at a time, so no whole-matrix mask is held. The
-selection, the matrix and the bitsets live only as long as the search.
+numpy scatter of it. ``mine`` reads an edge's bitset for its count test off
+the matrix the first time a batch adds that edge, so a shallow search builds
+few of them and no whole-matrix mask is held. The selection, the matrix and
+the bitsets live only as long as the search.
 
 ``SearchStats.nodes_evaluated`` counts every child of an expanded node,
 built or not, when its parent is expanded; a list evaluated ahead for a
@@ -80,7 +78,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, insort
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -196,23 +193,6 @@ def _threshold(columns: EdgeColumns, edges: tuple[Edge, ...], e: Edge) -> int:
     return -1
 
 
-def _leaf_thresholds(columns: EdgeColumns, edges: tuple[Edge, ...], nodes: list[int]) -> list[int]:
-    """``_threshold`` of a pendant edge at each of ``nodes``, for a tree ``edges``
-    of two or more edges.
-
-    Adding a pendant edge at a keeps a tree, whose removable edges are its
-    leaf edges: the parent's leaf edges whose leaf is not a, and the new
-    edge, which is not a parent edge. A tree of two or more edges has at
-    least two leaf edges, each with one leaf.
-    """
-    degree = Counter(itertools.chain.from_iterable(edges))
-    leafy = [e for e in reversed(edges) if degree[e[0]] == 1 or degree[e[1]] == 1]
-    top, second = columns.column[leafy[0]], columns.column[leafy[1]]
-    u, v = leafy[0]
-    lone = u if degree[u] == 1 else v
-    return [second if a == lone else top for a in nodes]
-
-
 class _ChildList(Sequence):
     """Children of one parent, held as the columns of their added edges.
 
@@ -262,11 +242,8 @@ def children(parent: Subgraph | None, universe: CertainGraph) -> _ChildList:
     nodes = sorted(parent.nodes)
     incident = [columns.incident[a] for a in nodes]
     near = np.concatenate(incident)
-    # a pendant edge's threshold is its attach node's
-    if len(edges) + 1 == len(nodes):
-        per_node = _leaf_thresholds(columns, edges, nodes)
-    else:  # -1 stands for the pendant edge's new node
-        per_node = [_threshold(columns, edges, (a, -1)) for a in nodes]
+    # a pendant edge's threshold is its attach node's; -1 stands for its new node
+    per_node = [_threshold(columns, edges, (a, -1)) for a in nodes]
     threshold = np.repeat(per_node, [len(js) for js in incident])
     order = near.argsort()
     near, threshold = near[order], threshold[order]
@@ -376,12 +353,10 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
 
     n_graphs = probs.shape[1]
     if prune:
-        # the graphs where each universe edge has nonzero probability, built a
-        # block of rows at a time so that no whole-matrix mask is held
+        # the graphs where each universe edge has nonzero probability; an
+        # edge's row is built when a batch first adds the edge (``ready``)
         nonzero = np.empty((len(probs), -(-n_graphs // 64)), dtype=np.uint64)
-        step = max(1, _CELLS // n_graphs)
-        for i in range(0, len(probs), step):
-            nonzero[i : i + step] = _nonzero_words(probs[i : i + step])
+        ready = np.zeros(len(probs), dtype=bool)
 
     def evaluate(
         lists: list[_ChildList], contain: np.ndarray, index: np.ndarray, compact: bool
@@ -447,6 +422,9 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
         added = np.concatenate([kids.added for kids in lists])
         index = np.arange(n_rows)
         if prune:
+            new = added[~ready[added]]  # an edge added twice is built twice
+            nonzero[new] = _nonzero_words(probs[new])
+            ready[new] = True
             parents = np.array([parent.contain for parent in batch])
             index = _may_be_frequent(parents, owner, nonzero[added], cfg.min_sup)
             owner, added = owner[index], added[index]

@@ -163,7 +163,7 @@ class TestThresholdRule:
                 nodes = parent.nodes
                 expected = reference_children(parent, universe)
                 assert list(ug.children(parent, universe)) == expected
-                # tree parents take the leaf-edge rule, the others _threshold
+                # one-edge parents take the shortcut, the others _threshold
                 one_edge += len(parent.edges) == 1
                 trees += len(parent.edges) > 1 and len(parent.edges) + 1 == len(nodes)
                 cyclic += len(parent.edges) >= len(nodes)
@@ -177,7 +177,8 @@ class TestThresholdRule:
                     for i in range(len(parent.edges))
                 )
         # the draw covers the attach points that need their own threshold,
-        # and both threshold rules (82, 309 and 49 parents at this seed)
+        # the one-edge shortcut and both tree and cyclic parents of
+        # _threshold (82, 309 and 49 parents at this seed)
         assert chords > 100 and bridged > 20
         assert one_edge > 40 and trees > 150 and cyclic > 25
 
@@ -464,6 +465,41 @@ class TestPruneSoundness:
                     f.measure_value for f in full.features
                 ]
                 assert pruned.stats.nodes_evaluated <= full.stats.nodes_evaluated
+
+    def test_ties_at_one_with_many_graphs(self):
+        # 129 graphs per class. Every positive graph holds the edges surely,
+        # so a feature with an edge no negative graph has is worth exactly
+        # 1.0, while its ancestors' bounds sum a negative law of 129 inexact
+        # masses, which can round to just below 1.0.
+        rng = random.Random(29)
+        pairs = all_pairs(5)
+        ties = 0
+        for _ in range(6):
+            edges = rng.sample(pairs, 6)
+            absent = set(rng.sample(edges, 2))
+            graphs = [ug.UncertainGraph(5, dict.fromkeys(edges, 1.0)) for _ in range(129)]
+            graphs += [
+                ug.UncertainGraph(5, {e: rng.uniform(0.05, 0.95) for e in edges if e not in absent})
+                for _ in range(129)
+            ]
+            ds = ug.Dataset(5, tuple(graphs), (1,) * 129 + (-1,) * 129)
+            for t in (1, 3, 6):
+                cfg = ug.MiningConfig(
+                    t=t, min_sup=0.1, measure=ug.MeasureSpec("phi-pr", 1.0),
+                    score=ug.ScoreFunction("ratio"),
+                )
+                pruned, full = ug.mine(ds, cfg), ug.mine_exhaustive(ds, cfg)
+                assert [(f.subgraph.edges, f.measure_value) for f in pruned.features] == [
+                    (f.subgraph.edges, f.measure_value) for f in full.features
+                ]
+                _, *counts = eager_search(ds, cfg)
+                stats = pruned.stats
+                assert [
+                    stats.nodes_evaluated, stats.frequency_pruned,
+                    stats.bound_pruned, stats.theta_trace,
+                ] == counts
+                ties += len(full.features) == t and full.features[-1].measure_value == 1.0
+        assert ties >= 6
 
     def test_bound_pruning_reduces_visits(self):
         # planted signal concentrates the measure, letting the bound cut branches

@@ -418,23 +418,36 @@ def union_graph(dataset: Dataset, selection: _Selection | None = None) -> Certai
     return CertainGraph._trusted(dataset.num_nodes, edges, table.ends[union])
 
 
-def _probability_matrix(dataset: Dataset, selection: _Selection | None = None) -> np.ndarray:
-    """Edge probabilities, one row per column of ``union_graph(dataset)``, one
-    column per graph, 0 where the graph lacks the edge; built on each call,
-    from ``selection`` when given."""
+def _probability_matrix(
+    dataset: Dataset, edges: np.ndarray, selection: _Selection | None = None
+) -> np.ndarray:
+    """Edge probabilities, one column per graph, 0 where the graph lacks the edge.
+
+    ``edges`` holds distinct columns of ``union_graph(dataset)``, and the
+    matrix has one row per listed column, in that order. A row is the same,
+    bit for bit, whichever rows are built with it, so a search can densify
+    only the edges it may read. Built on each call, from ``selection`` when
+    given.
+    """
     union, local, owner, probs = _select(dataset) if selection is None else selection
-    matrix = np.zeros((len(union), len(dataset)))
-    matrix[local, owner] = probs
+    slot = np.full(len(union), -1, dtype=np.int32)
+    slot[edges] = np.arange(len(edges), dtype=np.int32)
+    local = slot[local]
+    keep = local >= 0
+    matrix = np.zeros((len(edges), len(dataset)))
+    matrix[local[keep], owner[keep]] = probs[keep]
     return matrix
 
 
 def parse_dataset(text: bytes | str) -> Dataset:
     """Parse the JSON dataset format; raises DatasetFormatError with context."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    # ValueError covers bad UTF-8, bad JSON and an integer of more digits than
+    # int() converts; RecursionError, JSON nested too deep
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+    except (ValueError, RecursionError) as exc:
         raise DatasetFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DatasetFormatError("top level must be a JSON object")

@@ -28,6 +28,13 @@ popped, and ``mine`` cuts its subtree when, for the expectation and
 phi-probability measures, the dominating upper bound, raised past rounding
 error, is below the current t-th best value θ.
 
+By the same count, ``mine`` gives probability rows only to the store edges,
+those nonzero in more than min_sup of the graphs. An edge nonzero in k of G
+graphs has a mean of at most fl(k / G), and a containment row holding it is
+nonzero in at most those k graphs, so every other edge is an infrequent root
+and lies in no frequent subgraph. Its bitset is empty, so the count test
+drops every child that adds it and no product reads its row.
+
 Child lists are evaluated in look-ahead batches. When a popped node is to be
 expanded and its list is not yet evaluated, the next stack nodes that would
 be expanded under the current θ (bound at least θ, below max_edges) join it,
@@ -44,18 +51,20 @@ what was evaluated ahead. θ only grows, so a node below θ now is cut when it
 is popped; a node that passes now but is cut later only wastes its list.
 In ``mine`` the children of a batch hold rows of one copy of the batch's
 frequent rows, so the nodes waiting on the stack do not pin the whole batch
-product; the roots hold views of the probability matrix, and a kept
+product; the roots hold views of the probability rows, and a kept
 candidate holds copies of its support laws.
 
 A search reads its dataset through the dataset's edge table
 (``graphs._EdgeTable``), built once per dataset and shared with every
 ``Dataset.subset`` of it. ``_search`` selects the table entries of the
 dataset's graphs once; ``union_graph`` takes its edges and their endpoints
-from that selection, and the dense edge-by-graph probability matrix is one
-numpy scatter of it. ``mine`` reads an edge's bitset for its count test off
-the matrix the first time a batch adds that edge, so a shallow search builds
-few of them and no whole-matrix mask is held. The selection, the matrix and
-the bitsets live only as long as the search.
+from that selection, and the probability rows are one numpy scatter of the
+entries of their edges. ``mine`` densifies only the store edges, so a
+shallow search holds no edge-by-graph matrix (3 of the 6670 edges of
+adhd-like seed 0 at min_sup 0.2); ``mine_exhaustive`` densifies every
+edge. The bitsets are read off the store's rows in one pass, after the
+root batch. The selection, the rows and the bitsets live only as long as the
+search.
 
 ``SearchStats.nodes_evaluated`` counts every child of an expanded node,
 built or not, when its parent is expanded; a list evaluated ahead for a
@@ -341,22 +350,24 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
     if not universe.edges:
         return MiningResult((), stats)
 
-    # one row of per-graph containment probabilities per universe edge
-    probs = _probability_matrix(dataset, selection)
-    del selection  # its entries are in probs now; free them before the walk
+    n_graphs = len(dataset)
+    n_edges = len(universe.edges)
+    if prune:
+        # the store edges: nonzero, by count, in more than min_sup of the
+        # graphs (an edge has one entry per graph that holds it)
+        counts = np.bincount(selection.local, minlength=n_edges)
+        dense = np.flatnonzero(counts / n_graphs > cfg.min_sup)
+    else:
+        dense = np.arange(n_edges)
+    # one row of per-graph containment probabilities per dense edge
+    probs = _probability_matrix(dataset, dense, selection)
+    del selection  # the walk reads only probs; free the entries before it
 
     pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
     neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
     grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, len(pos_cols), len(neg_cols)))
     bounded = prune and cfg.bound_pruning and grids.bounded
     cap = cfg.max_edges or math.inf  # max_edges is >= 1 when given
-
-    n_graphs = probs.shape[1]
-    if prune:
-        # the graphs where each universe edge has nonzero probability; an
-        # edge's row is built when a batch first adds the edge (``ready``)
-        nonzero = np.empty((len(probs), -(-n_graphs // 64)), dtype=np.uint64)
-        ready = np.zeros(len(probs), dtype=bool)
 
     def evaluate(
         lists: list[_ChildList], contain: np.ndarray, index: np.ndarray, compact: bool
@@ -420,26 +431,29 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
                 break
         owner = np.repeat(np.arange(len(batch)), [len(kids) for kids in lists])
         added = np.concatenate([kids.added for kids in lists])
-        index = np.arange(n_rows)
+        index, rows = np.arange(n_rows), added  # the exhaustive search has every row
         if prune:
-            new = added[~ready[added]]  # an edge added twice is built twice
-            nonzero[new] = _nonzero_words(probs[new])
-            ready[new] = True
             parents = np.array([parent.contain for parent in batch])
             index = _may_be_frequent(parents, owner, nonzero[added], cfg.min_sup)
-            owner, added = owner[index], added[index]
+            owner, rows = owner[index], slot[added[index]]
         # multiplied in place, parent by parent: a gathered copy of the parent
         # rows would double the memory of a batch whose rows are all computed
-        contain = probs[added]
+        contain = probs[rows]
         ends = np.searchsorted(owner, np.arange(1, len(batch) + 1)).tolist()
         for parent, start, end in zip(batch, [0] + ends, ends):
             contain[start:end] *= parent.contain
         for parent, kids in zip(batch, evaluate(lists, contain, index, compact=prune)):
             parent.kids = kids
 
-    ((count, stack),) = evaluate(
-        [children(None, universe)], probs, np.arange(len(probs)), compact=False
-    )
+    ((count, stack),) = evaluate([children(None, universe)], probs, dense, compact=False)
+    if prune:
+        # built after the root batch, which is the peak of a shallow search
+        slot = np.zeros(n_edges, dtype=np.intp)  # the row of each store edge
+        slot[dense] = np.arange(len(dense))
+        # the graphs where each universe edge has nonzero probability; none
+        # for an edge outside the store
+        nonzero = np.zeros((n_edges, -(-n_graphs // 64)), dtype=np.uint64)
+        nonzero[dense] = _nonzero_words(probs)
     stats.nodes_evaluated, stats.frequency_pruned = count, count - len(stack)
     theta = -math.inf
     while stack:

@@ -68,6 +68,94 @@ class TestParse:
         ds = ug.parse_dataset(minimal_text([[2, 0, 0.5]]))
         assert ds.graphs[0].edges == {(0, 2): 0.5}
 
+    def test_integer_too_long_for_int(self):
+        with pytest.raises(ug.DatasetFormatError, match="malformed JSON"):
+            ug.parse_dataset('{"num_nodes": ' + "7" * 5000 + ', "graphs": []}')
+
+
+class Huge(str):
+    """An integer literal of any length, written verbatim into JSON text."""
+
+
+def to_json(value) -> str:
+    """JSON text of ``value``; a ``Huge`` is written as its digits, so it may
+    hold more digits than ``json.dumps`` or ``int()`` take."""
+    import json
+
+    if isinstance(value, Huge):
+        return str.__str__(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(to_json(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.integers()
+    | st.builds(
+        lambda sign, digits: Huge(sign + digits),
+        st.sampled_from(["", "-"]),
+        st.sampled_from(["1" + "0" * 308, "9" * 400, "3" * 4300, "1" * 4301, "5" * 6000]),
+    )
+    | st.floats()
+    | st.sampled_from([0.5, 1.0, 1e-320, 1.0000000000000002])
+    | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def mostly(sane):
+    """Values of ``sane``, but in one draw of sixteen any JSON value."""
+    return st.integers(0, 15).flatmap(lambda k: JSON_VALUES if k == 0 else sane)
+
+
+# values shaped like a dataset, each part of which may be any JSON value
+EDGE_ENTRIES = mostly(
+    st.tuples(
+        mostly(st.integers(0, 5)),
+        mostly(st.integers(0, 5)),
+        mostly(st.floats(0.01, 1.0) | st.sampled_from([1, 1e-320])),
+    ).map(list)
+)
+GRAPH_ENTRIES = mostly(
+    st.fixed_dictionaries(
+        {
+            "label": mostly(st.sampled_from([1, -1])),
+            "edges": mostly(st.lists(EDGE_ENTRIES, max_size=4)),
+        },
+        optional={"id": mostly(st.text(max_size=3))},
+    )
+)
+DATASETS = mostly(
+    st.fixed_dictionaries(
+        {
+            "num_nodes": mostly(st.just(6) | st.integers(0, 6)),
+            "graphs": mostly(st.lists(GRAPH_ENTRIES, max_size=4)),
+        }
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DATASETS, st.booleans())
+def test_parse_generated_json(value, as_bytes):
+    """Any JSON value parses to a Dataset or raises DatasetFormatError."""
+    text = to_json(value)
+    try:
+        ds = ug.parse_dataset(text.encode("utf-8") if as_bytes else text)
+    except ug.DatasetFormatError:
+        return
+    assert isinstance(ds, ug.Dataset)
+
 
 class TestContains:
     def test_subset(self):
@@ -166,18 +254,29 @@ def fresh(ds: ug.Dataset) -> ug.Dataset:
 
 class TestSubset:
     """A subset's union graph and probability matrix, sliced from its parent's
-    edge table, equal those of a fresh dataset of the same graphs, bit for bit."""
+    edge table, equal those of a fresh dataset of the same graphs, bit for bit;
+    so do the rows of any edges built alone."""
 
     @staticmethod
     def assert_tables_equal(ds: ug.Dataset) -> None:
         edges, probs = reference_matrix(ds)
+        rng = random.Random(len(edges))
         for d in (ds, fresh(ds)):
             universe = ug.union_graph(d)
             assert universe.columns.edges == edges
             assert universe.edges == frozenset(edges)
-            matrix = _probability_matrix(d)
+            every = range(len(edges))
+            matrix = _probability_matrix(d, np.arange(len(edges)))
             assert matrix.shape == probs.shape
             assert matrix.tobytes() == probs.tobytes()
+            # ascending, unordered and empty selections of edge columns
+            picks = [sorted(rng.sample(every, len(edges) // 3)), []]
+            picks.append(rng.sample(every, min(len(edges), 5)))
+            for pick in picks:
+                rows = _probability_matrix(d, np.array(pick, dtype=np.intp))
+                assert rows.shape == (len(pick), len(d))
+                for row, j in zip(rows, pick):
+                    assert row.tobytes() == matrix[j].tobytes()
 
     def test_random_splits_of_presets(self):
         rng = np.random.default_rng(5)
@@ -202,7 +301,7 @@ class TestSubset:
         ds = ug.Dataset(3, (), ())
         self.assert_tables_equal(ds)
         self.assert_tables_equal(ds.subset([]))
-        assert _probability_matrix(ds).shape == (0, 0)
+        assert _probability_matrix(ds, np.arange(0)).shape == (0, 0)
 
     def test_graph_without_edges(self, fig2):
         empty = ug.UncertainGraph(3, {})
@@ -210,7 +309,7 @@ class TestSubset:
         self.assert_tables_equal(ds)
         for indices in ([0], [0, 5], [5, 2, 0], [1, 5]):
             self.assert_tables_equal(ds.subset(indices))
-        assert _probability_matrix(ds.subset([0])).shape == (0, 1)
+        assert _probability_matrix(ds.subset([0]), np.arange(0)).shape == (0, 1)
 
     def test_edges_only_in_test_part(self):
         graphs = tuple(ug.UncertainGraph(5, {e: 0.5}) for e in ((0, 1), (1, 2), (3, 4), (0, 1)))

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -433,6 +434,96 @@ class TestCountTest:
                         (f.subgraph.edges, f.measure_value, f.exp_freq) for f in result.features
                     ] == [(f.subgraph.edges, f.measure_value, f.exp_freq) for f in full.features]
         assert calls[1] > 0 and calls[1] < calls[0]
+
+
+class TestStore:
+    """``mine`` builds probability rows only for the store edges, those nonzero
+    in more than min_sup of the graphs; it changes no output and no count."""
+
+    @staticmethod
+    def boundary_dataset(rng, n_graphs, k):
+        """The edges of K5, each nonzero in k - 1, k, k + 1 or any number of
+        the graphs, with probabilities 1.0, 5e-324, uniform draws or a mix."""
+        order = rng.sample(range(n_graphs), n_graphs)
+        graphs = [{} for _ in range(n_graphs)]
+        for e in all_pairs(5):
+            count = rng.choice([k - 1, k, k + 1, rng.randint(0, n_graphs)])
+            count = min(n_graphs, max(0, count))
+            # edges that share a prefix of ``order`` keep deeper subgraphs frequent
+            where = order[:count] if rng.random() < 0.5 else rng.sample(range(n_graphs), count)
+            kind = rng.choice([1.0, 5e-324, "uniform", "mixed"])
+            for i in where:
+                p = kind if kind != "mixed" else rng.choice([1.0, 5e-324, "uniform"])
+                graphs[i][e] = rng.uniform(0.05, 1.0) if p == "uniform" else p
+        labels = (1, -1) + tuple(rng.choice([1, -1]) for _ in range(n_graphs - 2))
+        return ug.Dataset(5, tuple(ug.UncertainGraph(5, g) for g in graphs), labels)
+
+    @staticmethod
+    def spy_rows(monkeypatch):
+        """The edges given to each ``_probability_matrix`` call of the search."""
+        built = []
+        real = miner._probability_matrix
+
+        def spy(dataset, edges, selection=None):
+            built.append(edges.tolist())
+            return real(dataset, edges, selection)
+
+        monkeypatch.setattr(miner, "_probability_matrix", spy)
+        return built
+
+    def test_mine_unchanged_at_the_store_boundary(self, monkeypatch):
+        built = self.spy_rows(monkeypatch)
+        rng = random.Random(83)
+        left_out = deep = 0
+        # graph counts on both sides of a 64-bit word boundary; mining needs
+        # a graph of each class, so two graphs is the smallest dataset
+        for n_graphs in (2, 63, 64, 65, 129):
+            for k in sorted({1, n_graphs // 4, n_graphs // 2}):
+                ds = self.boundary_dataset(rng, n_graphs, k)
+                edges = ug.union_graph(ds).columns.edges
+                counts = [sum(e in g.edges for g in ds.graphs) for e in edges]
+                store = [j for j, c in enumerate(counts) if c > k]
+                left_out += len(edges) - len(store)
+                for measure, kind in (("phi-pr", "ratio"), ("exp", "conf"), ("median", "hsic")):
+                    cfg = ug.MiningConfig(
+                        t=3, min_sup=k / n_graphs,
+                        measure=ug.MeasureSpec(measure, 1.0 if measure == "phi-pr" else None),
+                        score=ug.ScoreFunction(kind),
+                    )
+                    features, *counts = eager_search(ds, cfg)
+                    built.clear()
+                    full = _bitwise(ug.mine_exhaustive(ds, cfg))[0]
+                    assert built == [list(range(len(edges)))]
+                    for window, cells in TestLookAhead.LIMITS:
+                        monkeypatch.setattr(miner, "_WINDOW", window)
+                        monkeypatch.setattr(miner, "_CELLS", cells)
+                        built.clear()
+                        result = ug.mine(ds, cfg)
+                        assert built == [store]
+                        stats = result.stats
+                        assert [
+                            stats.nodes_evaluated, stats.frequency_pruned,
+                            stats.bound_pruned, stats.theta_trace,
+                        ] == counts
+                        assert [
+                            (f.subgraph.edges, f.measure_value) for f in result.features
+                        ] == features
+                        assert _bitwise(result)[0] == full
+                    deep += any(len(f.subgraph.edges) > 1 for f in result.features)
+        assert left_out > 0 and deep > 0
+
+    def test_shallow_search_densifies_count_frequent_edges(self, monkeypatch):
+        built = self.spy_rows(monkeypatch)
+        ds = ug.make_preset("adhd-like", seed=0)
+        cfg = ug.MiningConfig(
+            t=10, min_sup=0.2, measure=ug.MeasureSpec("median"), score=ug.ScoreFunction("conf")
+        )
+        ug.mine(ds, cfg)
+        edges = ug.union_graph(ds).columns.edges
+        nonzero = collections.Counter(e for g in ds.graphs for e in g.edges)
+        store = [j for j, e in enumerate(edges) if nonzero[e] / len(ds) > 0.2]
+        assert built == [store]
+        assert 0 < len(store) < len(edges) / 100
 
 
 def all_configs(t=3, min_sup=0.15):

@@ -16,17 +16,14 @@ from .distribution import (
     distribution_from_pairs,
     expected_frequency,
     joint_distribution,
-    measure_exp,
+    measure_bound,
     measure_from_distribution,
-    measure_from_joint,
     measure_median,
     measure_mode,
-    measure_phi_pr,
+    measure_value,
     poisson_binomial,
     score_distribution,
     support_distribution,
-    ub_exp,
-    ub_phi_pr,
 )
 from .graphs import (
     CertainGraph,
@@ -64,7 +61,6 @@ from .oracle import (
 from .scores import (
     SCORE_KINDS,
     ScoreFunction,
-    envelope_table,
     eval_score,
     score_grid,
     upper_envelope,

@@ -23,7 +23,7 @@ from .distribution import (
     PHI_PROBABILITY,
     MeasureSpec,
     joint_distribution,
-    measure_from_joint,
+    measure_value,
     support_distribution,
 )
 from .graphs import (
@@ -252,12 +252,11 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     matched = 0
     for _ in range(args.trials):
         g = _random_connected_subgraph(rng, edges, universe)
-        dp_joint = joint_distribution(
-            support_distribution(g, dataset.pos), support_distribution(g, dataset.neg)
-        )
+        pos = support_distribution(g, dataset.pos)
+        neg = support_distribution(g, dataset.neg)
         bf_joint = oracle_joint(g, dataset, args.max_worlds)
-        ok = bool(np.max(np.abs(dp_joint - bf_joint)) <= 1e-9)
-        dp_m = measure_from_joint(dp_joint, score, measure)
+        ok = bool(np.max(np.abs(joint_distribution(pos, neg) - bf_joint)) <= 1e-9)
+        dp_m = measure_value(pos, neg, score, measure)
         bf_m = oracle_measure(g, dataset, measure, score, args.max_worlds)
         if math.isinf(dp_m) or math.isinf(bf_m):
             ok = ok and dp_m == bf_m
@@ -292,9 +291,11 @@ def _load_features(path: str) -> list[Subgraph]:
     if not os.path.isfile(path):
         raise UsageError(f"features file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
+        # ValueError covers bad UTF-8, bad JSON and an integer of more digits
+        # than int() converts; RecursionError, JSON nested too deep
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: malformed JSON: {exc}") from exc
     raw = obj.get("features") if isinstance(obj, dict) else obj
     if not isinstance(raw, list):

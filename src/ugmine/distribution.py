@@ -5,6 +5,9 @@ indicators (one per graph), i.e. Poisson-binomial. Its law is computed by an
 O(m^2) dynamic program; the two class marginals are independent, so their
 outer product gives the exact joint law over support pairs, and every cell
 maps through the score function to yield the full score distribution.
+
+``_MeasureGrids`` is the one measure kernel: ``mine`` runs it on batches of
+class marginals, ``measure_value`` and ``measure_bound`` on one feature's.
 """
 
 from __future__ import annotations
@@ -242,6 +245,8 @@ class _MeasureGrids:
     the same weights over the grid's running maximum (``envelope_from_grid``),
     which back ``bounds`` and are built when it first runs. Median and mode
     group the cells by ``score_group_key`` and walk the grouped masses.
+
+    ``mine`` and the single-feature API both read ``values`` and ``bounds``.
     """
 
     def __init__(self, measure: MeasureSpec, grid: np.ndarray) -> None:
@@ -289,7 +294,9 @@ class _MeasureGrids:
     def values(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
         """Measure of each product law outer(pos[i], neg[i])."""
         if self.kind in (MEDIAN, MODE):
-            return np.array([self.joint_value(np.outer(p, n)) for p, n in zip(pos, neg)])
+            pick = median_from_masses if self.kind == MEDIAN else mode_from_masses
+            masses = (self.group_masses(np.outer(p, n)) for p, n in zip(pos, neg))
+            return np.array([pick(self.group_scores, m) for m in masses])
         return self._linear(pos, neg, self.weights)
 
     def bounds(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -329,44 +336,47 @@ class _MeasureGrids:
         """Joint mass of each score group, aligned with ``group_scores``."""
         return np.bincount(self.group_ids, weights=joint.ravel(), minlength=len(self.group_scores))
 
-    def joint_value(self, joint: np.ndarray) -> float:
-        """Measure of one joint support-pair law."""
-        if self.kind == MEDIAN:
-            return median_from_masses(self.group_scores, self.group_masses(joint))
-        if self.kind == MODE:
-            return mode_from_masses(self.group_scores, self.group_masses(joint))
-        finite, inf_mask = self.weights
-        if inf_mask is not None and np.any((joint > 0) & (inf_mask > 0)):
-            return math.inf
-        return float(np.einsum("ab,ab->", joint, finite))
-
-
-def _support_grid(joint: np.ndarray, score: ScoreFunction) -> np.ndarray:
-    return score_grid(score, joint.shape[0] - 1, joint.shape[1] - 1)
-
 
 def score_distribution(joint: np.ndarray, spec: ScoreFunction) -> ScoreDistribution:
     """Distribution of the score induced by a joint support-pair law."""
-    grids = _MeasureGrids(MeasureSpec(MEDIAN), _support_grid(joint, spec))
+    grid = score_grid(spec, joint.shape[0] - 1, joint.shape[1] - 1)
+    grids = _MeasureGrids(MeasureSpec(MEDIAN), grid)
     masses = grids.group_masses(joint)
     return ScoreDistribution(
         tuple((float(s), float(p)) for s, p in zip(grids.group_scores, masses) if p != 0.0)
     )
 
 
-def measure_from_joint(joint: np.ndarray, score: ScoreFunction, measure: MeasureSpec) -> float:
-    """Evaluate any of the four measures from a joint support-pair law."""
-    return _MeasureGrids(measure, _support_grid(joint, score)).joint_value(joint)
+def _one_row(
+    pos: Sequence[float], neg: Sequence[float], score: ScoreFunction, measure: MeasureSpec
+) -> tuple[_MeasureGrids, np.ndarray, np.ndarray]:
+    """The kernel ``mine`` runs, and one feature's class marginals as a batch of one."""
+    grids = _MeasureGrids(measure, score_grid(score, len(pos) - 1, len(neg) - 1))
+    return grids, np.asarray(pos, dtype=float)[None], np.asarray(neg, dtype=float)[None]
 
 
-def measure_exp(joint: np.ndarray, spec: ScoreFunction) -> float:
-    """Probability-weighted mean score; +inf if any reachable cell scores +inf."""
-    return measure_from_joint(joint, spec, MeasureSpec(EXPECTATION))
+def measure_value(
+    pos: Sequence[float], neg: Sequence[float], score: ScoreFunction, measure: MeasureSpec
+) -> float:
+    """Measure of the score law of one feature, from the laws of its positive
+    and negative support counts (``support_distribution`` of each class).
+
+    This is the row ``mine`` computes: on a mined feature's ``pos_dist`` and
+    ``neg_dist`` it equals that feature's ``measure_value`` bit for bit.
+    """
+    grids, p, n = _one_row(pos, neg, score, measure)
+    return float(grids.values(p, n)[0])
 
 
-def measure_phi_pr(joint: np.ndarray, spec: ScoreFunction, phi: float) -> float:
-    """Total probability mass on support pairs scoring at least ``phi``."""
-    return measure_from_joint(joint, spec, MeasureSpec(PHI_PROBABILITY, phi))
+def measure_bound(
+    pos: Sequence[float], neg: Sequence[float], score: ScoreFunction, measure: MeasureSpec
+) -> float:
+    """Upper bound on the measure of one feature and of all its supergraphs,
+    from the feature's class marginals: the raised envelope bound ``mine``
+    prunes with. Median and mode have no bound, so they get +inf.
+    """
+    grids, p, n = _one_row(pos, neg, score, measure)
+    return float(grids.bounds(p, n)[0]) if grids.bounded else math.inf
 
 
 def measure_from_distribution(dist: ScoreDistribution, measure: MeasureSpec) -> float:
@@ -391,19 +401,3 @@ def expected_frequency(g: Subgraph, dataset: Dataset) -> float:
         raise ValueError("expected frequency needs at least one graph")
     total = sum(containment_probability(g, graph) for graph in dataset.graphs)
     return total / len(dataset)
-
-
-def _envelope_measure(joint: np.ndarray, envelope: np.ndarray, measure: MeasureSpec) -> float:
-    if joint.shape != envelope.shape:
-        raise ValueError("joint and envelope shapes differ")
-    return _MeasureGrids(measure, envelope).joint_value(joint)
-
-
-def ub_exp(joint: np.ndarray, envelope: np.ndarray) -> float:
-    """Upper bound on the expected score of a feature and all its supergraphs."""
-    return _envelope_measure(joint, envelope, MeasureSpec(EXPECTATION))
-
-
-def ub_phi_pr(joint: np.ndarray, envelope: np.ndarray, phi: float) -> float:
-    """Upper bound on the phi-probability of a feature and all its supergraphs."""
-    return _envelope_measure(joint, envelope, MeasureSpec(PHI_PROBABILITY, phi))

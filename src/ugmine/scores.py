@@ -143,12 +143,3 @@ def envelope_from_grid(grid: np.ndarray) -> np.ndarray:
     O(n_pos * n_neg).
     """
     return np.maximum.accumulate(np.maximum.accumulate(grid, axis=0), axis=1)
-
-
-def envelope_table(spec: ScoreFunction, n_pos: int, n_neg: int) -> np.ndarray:
-    """(n_pos+1) x (n_neg+1) matrix of upper_envelope values.
-
-    The running maximum of ``score_grid``. Capping commutes with max, so this
-    equals capping the running maximum of the raw scores, bit for bit.
-    """
-    return envelope_from_grid(score_grid(spec, n_pos, n_neg))

@@ -10,12 +10,14 @@ equal the miner's bit for bit; its traversal and bookkeeping are its own.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ugmine import (
     Dataset,
@@ -192,3 +194,50 @@ def eager_search(dataset: Dataset, cfg) -> tuple:
             stack.append((kid, contain * edge_probs[added]))
     features = [(key[2], value) for key, value in kept]
     return features, evaluated, freq_pruned, bound_pruned, trace
+
+
+# Generated JSON text for the fuzz tests: any nested value of ints, floats,
+# bools, strings and null, with integer literals of up to 6000 digits.
+
+
+class Huge(str):
+    """An integer literal of any length, written verbatim into JSON text."""
+
+
+def to_json(value) -> str:
+    """JSON text of ``value``; a ``Huge`` is written as its digits, so it may
+    hold more digits than ``json.dumps`` or ``int()`` take."""
+    if isinstance(value, Huge):
+        return str.__str__(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(to_json(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.integers()
+    | st.builds(
+        lambda sign, digits: Huge(sign + digits),
+        st.sampled_from(["", "-"]),
+        st.sampled_from(["1" + "0" * 308, "9" * 400, "3" * 4300, "1" * 4301, "5" * 6000]),
+    )
+    | st.floats()
+    | st.sampled_from([0.5, 1.0, 1e-320, 1.0000000000000002])
+    | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def mostly(sane):
+    """Values of ``sane``, but in one draw of sixteen any JSON value."""
+    return st.integers(0, 15).flatmap(lambda k: JSON_VALUES if k == 0 else sane)

@@ -60,15 +60,13 @@ def test_criterion_1_oracle_equivalence():
         if not universe:
             continue
         g = random_connected_subgraph(rng, universe)
-        dp_joint = ug.joint_distribution(
-            ug.support_distribution(g, ds.pos), ug.support_distribution(g, ds.neg)
-        )
+        pos, neg = ug.support_distribution(g, ds.pos), ug.support_distribution(g, ds.neg)
         bf_joint = ug.oracle_joint(g, ds)
-        assert np.max(np.abs(dp_joint - bf_joint)) <= 1e-9
+        assert np.max(np.abs(ug.joint_distribution(pos, neg) - bf_joint)) <= 1e-9
         for kind in ug.SCORE_KINDS:
             score = ug.ScoreFunction(kind)
             for m in ALL_MEASURES:
-                got = ug.measure_from_joint(dp_joint, score, m)
+                got = ug.measure_value(pos, neg, score, m)
                 want = ug.oracle_measure(g, ds, m, score)
                 if math.isinf(want) or math.isinf(got):
                     assert got == want, (kind, m.kind, got, want)
@@ -190,25 +188,21 @@ def test_criterion_5_bound_validity():
         if sup is None:
             continue
         assert ug.expected_frequency(sup, ds) <= ug.expected_frequency(g, ds) + 1e-12
-        joint_g = ug.joint_distribution(
-            ug.support_distribution(g, ds.pos), ug.support_distribution(g, ds.neg)
-        )
-        joint_s = ug.joint_distribution(
-            ug.support_distribution(sup, ds.pos), ug.support_distribution(sup, ds.neg)
-        )
+        laws_g = ug.support_distribution(g, ds.pos), ug.support_distribution(g, ds.neg)
+        laws_s = ug.support_distribution(sup, ds.pos), ug.support_distribution(sup, ds.neg)
+        exp = ug.MeasureSpec("exp")
         for kind in ug.SCORE_KINDS:
             for cap in (0.0, 0.01):
                 score = ug.ScoreFunction(kind, cap)
-                env = ug.envelope_table(score, ds.n_pos, ds.n_neg)
-                ub = ug.ub_exp(joint_g, env)
-                val = ug.measure_exp(joint_s, score)
+                ub = ug.measure_bound(*laws_g, score, exp)
+                val = ug.measure_value(*laws_s, score, exp)
                 if math.isinf(val):
                     assert math.isinf(ub)
                 else:
                     assert ub >= val - 1e-9
-                phi = PHI_BY_SCORE[kind]
-                assert ug.ub_phi_pr(joint_g, env, phi) >= (
-                    ug.measure_phi_pr(joint_s, score, phi) - 1e-9
+                phi = ug.MeasureSpec("phi-pr", PHI_BY_SCORE[kind])
+                assert ug.measure_bound(*laws_g, score, phi) >= (
+                    ug.measure_value(*laws_s, score, phi) - 1e-9
                 )
         pairs_checked += 1
     print(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ugmine as ug
 from ugmine.cli import _measure_and_score, build_parser, main
-from conftest import DATA_DIR
+from conftest import DATA_DIR, mostly, to_json
 
 
 @pytest.fixture
@@ -373,18 +377,24 @@ class TestFeaturizeCommand:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"features": [{"rank": 1}]}', '{"features": {"edges": [[0, 1]]}}'],
-        ids=["entry-without-edges", "features-not-a-list"],
+        [
+            b'{"features": [{"rank": 1}]}',
+            b'{"features": {"edges": [[0, 1]]}}',
+            b'{"features": [{"edges": [[0, 1]]}]}\xff',
+            b'{"features": [{"edges": [[0, ' + b"5" * 5000 + b"]]}]}",
+        ],
+        ids=["entry-without-edges", "features-not-a-list", "not-utf8", "huge-integer"],
     )
     def test_malformed_features_file(self, capsys, fig2_file, tmp_path, content):
         features = tmp_path / "features.json"
-        features.write_text(content)
+        features.write_bytes(content)
         code, out, err = run(
             capsys, "featurize", "--input", fig2_file, "--features", str(features)
         )
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert str(features) in err
 
     @pytest.mark.parametrize(
         "pair", ["[0.5, 1]", "[true, 2]", "[0, 1, 2]"], ids=["float", "boolean", "triple"]
@@ -399,6 +409,46 @@ class TestFeaturizeCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "feature 1:" in err and "integer pairs" in err
+
+
+# feature files shaped like the list ``mine --out`` writes, each part of
+# which may be any JSON value
+EDGE_PAIRS = mostly(
+    st.sampled_from([[0, 1], [1, 2], [0, 2], [2, 1]])
+    | st.tuples(mostly(st.integers(0, 3)), mostly(st.integers(0, 3))).map(list)
+)
+FEATURE_ENTRIES = mostly(st.fixed_dictionaries({"edges": mostly(st.lists(EDGE_PAIRS, max_size=3))}))
+FEATURE_FILES = mostly(
+    st.fixed_dictionaries({"features": mostly(st.lists(FEATURE_ENTRIES, max_size=3))})
+)
+
+
+@pytest.fixture(scope="module")
+def featurize_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("featurize")
+    (path / "fig2.json").write_bytes((DATA_DIR / "fig2.json").read_bytes())
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(FEATURE_FILES)
+def test_featurize_generated_feature_files(featurize_dir, value):
+    """Any feature file gives exit 0, or 1 with one line on stderr; a file
+    that holds no features is the one usage error, exit 2."""
+    features = featurize_dir / "features.json"
+    features.write_text(to_json(value))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(
+            ["featurize", "--input", str(featurize_dir / "fig2.json"), "--features", str(features)]
+        )
+    if code == 0:
+        assert out.getvalue().startswith("g_") and err.getvalue() == ""
+        return
+    assert code in (1, 2)
+    assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    if code == 2:
+        assert "holds no features" in err.getvalue()
 
 
 class TestEvaluateCommand:

@@ -121,9 +121,9 @@ class TestMeasures:
         assert ug.measure_from_distribution(dist, spec) == 0.0001
 
     def test_exp_single_cell(self):
-        joint = np.zeros((2, 2))
-        joint[1, 0] = 1.0
-        assert ug.measure_exp(joint, ug.ScoreFunction("conf")) == 1.0
+        # all mass on the support pair (1, 0)
+        exp = ug.MeasureSpec("exp")
+        assert ug.measure_value([0.0, 1.0], [1.0, 0.0], ug.ScoreFunction("conf"), exp) == 1.0
 
     def test_exp_average(self):
         assert exp_of_pairs([(1.0, 0.5), (3.0, 0.5)]) == pytest.approx(2.0)
@@ -164,11 +164,11 @@ class TestMeasures:
         assert phi_pr_of_pairs(dist.atoms, -math.inf) == 1.0
         assert phi_pr_of_pairs(dist.atoms, 100.0) == 0.0
 
-    def test_phi_pr_from_joint(self):
-        joint = np.full((2, 2), 0.25)
+    def test_phi_pr_from_marginals(self):
         spec = ug.ScoreFunction("conf")
-        # cells scoring >= 0.5: (1,1) -> 0.5 and (1,0) -> 1.0
-        assert ug.measure_phi_pr(joint, spec, 0.5) == pytest.approx(0.5)
+        # every cell 0.25; cells scoring >= 0.5: (1,1) -> 0.5 and (1,0) -> 1.0
+        phi = ug.MeasureSpec("phi-pr", 0.5)
+        assert ug.measure_value([0.5, 0.5], [0.5, 0.5], spec, phi) == pytest.approx(0.5)
 
 
 class TestExpectedFrequency:
@@ -201,13 +201,6 @@ class TestExpectedFrequency:
 
 
 class TestUpperBounds:
-    def test_degenerate_envelope_equals_exp(self):
-        # an envelope equal to the score grid bounds nothing extra
-        spec = ug.ScoreFunction("conf")
-        joint = np.array([[0.1, 0.2], [0.3, 0.4]])
-        grid = ug.score_grid(spec, 1, 1)
-        assert ug.ub_exp(joint, grid) == pytest.approx(ug.measure_exp(joint, spec))
-
     def test_confidence_bound_closed_form(self):
         rng = random.Random(41)
         spec = ug.ScoreFunction("conf")
@@ -216,15 +209,13 @@ class TestUpperBounds:
             pos /= pos.sum()
             neg = np.array([rng.random() for _ in range(3)])
             neg /= neg.sum()
-            joint = ug.joint_distribution(pos, neg)
-            env = ug.envelope_table(spec, 3, 2)
-            assert ug.ub_exp(joint, env) == pytest.approx(1.0 - pos[0], abs=1e-12)
+            bound = ug.measure_bound(pos, neg, spec, ug.MeasureSpec("exp"))
+            assert bound == pytest.approx(1.0 - pos[0], abs=1e-12)
 
     def test_phi_bound_extreme(self):
         spec = ug.ScoreFunction("conf")
-        joint = np.full((2, 2), 0.25)
-        env = ug.envelope_table(spec, 1, 1)
-        assert ug.ub_phi_pr(joint, env, -math.inf) == pytest.approx(1.0)
+        phi = ug.MeasureSpec("phi-pr", -math.inf)
+        assert ug.measure_bound([0.5, 0.5], [0.5, 0.5], spec, phi) == pytest.approx(1.0)
 
     def test_bound_dominance_over_supergraphs(self):
         rng = random.Random(43)
@@ -240,25 +231,20 @@ class TestUpperBounds:
             sup = extend_subgraph(rng, g, universe, extra=2)
             if sup is None:
                 continue
-            joint_g = ug.joint_distribution(
-                ug.support_distribution(g, ds.pos), ug.support_distribution(g, ds.neg)
-            )
-            joint_s = ug.joint_distribution(
-                ug.support_distribution(sup, ds.pos), ug.support_distribution(sup, ds.neg)
-            )
+            laws_g = ug.support_distribution(g, ds.pos), ug.support_distribution(g, ds.neg)
+            laws_s = ug.support_distribution(sup, ds.pos), ug.support_distribution(sup, ds.neg)
+            exp, phi = ug.MeasureSpec("exp"), ug.MeasureSpec("phi-pr", 0.4)
             for kind in ug.SCORE_KINDS:
                 for cap in (0.0, 0.01):
                     spec = ug.ScoreFunction(kind, cap)
-                    env = ug.envelope_table(spec, ds.n_pos, ds.n_neg)
-                    ub = ug.ub_exp(joint_g, env)
-                    val = ug.measure_exp(joint_s, spec)
+                    ub = ug.measure_bound(*laws_g, spec, exp)
+                    val = ug.measure_value(*laws_s, spec, exp)
                     if math.isinf(val):
                         assert math.isinf(ub)
                     else:
                         assert ub >= val - 1e-9
-                    phi = 0.4
-                    assert ug.ub_phi_pr(joint_g, env, phi) >= (
-                        ug.measure_phi_pr(joint_s, spec, phi) - 1e-9
+                    assert ug.measure_bound(*laws_g, spec, phi) >= (
+                        ug.measure_value(*laws_s, spec, phi) - 1e-9
                     )
             checked += 1
 
@@ -357,16 +343,50 @@ class TestOracleAgreement:
             if not universe:
                 continue
             g = random_connected_subgraph(rng, universe)
-            dp = ug.joint_distribution(
-                ug.support_distribution(g, ds.pos), ug.support_distribution(g, ds.neg)
-            )
+            pos, neg = ug.support_distribution(g, ds.pos), ug.support_distribution(g, ds.neg)
             for kind in ug.SCORE_KINDS:
                 spec = ug.ScoreFunction(kind)
                 for m in measures:
-                    got = ug.measure_from_joint(dp, spec, m)
+                    got = ug.measure_value(pos, neg, spec, m)
                     want = ug.oracle_measure(g, ds, m, spec)
                     if math.isinf(want):
                         assert got == want
                     else:
                         assert got == pytest.approx(want, abs=1e-9)
             done += 1
+
+
+@pytest.fixture(scope="module")
+def hiv():
+    return ug.make_preset("hiv-like", seed=0)
+
+
+class TestSingleFeatureApi:
+    """``measure_value`` and ``measure_bound`` run the kernel ``mine`` runs."""
+
+    PHI = {"conf": 0.5, "ratio": 1.0, "gtest": 1.0, "hsic": 0.01}
+
+    @pytest.mark.parametrize("kind", ug.SCORE_KINDS)
+    @pytest.mark.parametrize("measure_kind", ug.MEASURE_KINDS)
+    def test_mined_features(self, hiv, measure_kind, kind):
+        score = ug.ScoreFunction(kind)
+        measure = ug.MeasureSpec(measure_kind, self.PHI[kind] if measure_kind == "phi-pr" else None)
+        cfg = ug.MiningConfig(t=100, min_sup=0.05, max_edges=2, measure=measure, score=score)
+        features = ug.mine(hiv, cfg).features
+        assert len(features) == 100
+        for f in features:
+            value = ug.measure_value(f.pos_dist, f.neg_dist, score, measure)
+            bound = ug.measure_bound(f.pos_dist, f.neg_dist, score, measure)
+            assert value.hex() == f.measure_value.hex()  # bit for bit
+            assert bound >= value
+            if measure_kind in ("median", "mode"):
+                assert bound == math.inf
+
+    def test_reachable_infinity_survives_underflow(self):
+        # the pair (1, 0) scores +inf under ratio and is reachable, though the
+        # product of its two masses underflows to 0
+        pos = np.array([1.0, 1e-200])
+        neg = np.array([1e-200, 1.0])
+        assert np.outer(pos, neg)[1, 0] == 0.0
+        exp = ug.MeasureSpec("exp")
+        assert ug.measure_value(pos, neg, ug.ScoreFunction("ratio"), exp) == math.inf

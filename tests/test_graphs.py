@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ugmine as ug
-from conftest import DATA_DIR, all_pairs, make_random_dataset, random_connected_subgraph
+from conftest import (
+    DATA_DIR,
+    all_pairs,
+    make_random_dataset,
+    mostly,
+    random_connected_subgraph,
+    to_json,
+)
 from ugmine.graphs import EdgeColumns, _EdgeTable, _probability_matrix
 
 
@@ -71,51 +78,6 @@ class TestParse:
     def test_integer_too_long_for_int(self):
         with pytest.raises(ug.DatasetFormatError, match="malformed JSON"):
             ug.parse_dataset('{"num_nodes": ' + "7" * 5000 + ', "graphs": []}')
-
-
-class Huge(str):
-    """An integer literal of any length, written verbatim into JSON text."""
-
-
-def to_json(value) -> str:
-    """JSON text of ``value``; a ``Huge`` is written as its digits, so it may
-    hold more digits than ``json.dumps`` or ``int()`` take."""
-    import json
-
-    if isinstance(value, Huge):
-        return str.__str__(value)
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(to_json(v) for v in value) + "]"
-    return json.dumps(value)
-
-
-JSON_LEAVES = (
-    st.none()
-    | st.booleans()
-    | st.integers(-3, 8)
-    | st.integers()
-    | st.builds(
-        lambda sign, digits: Huge(sign + digits),
-        st.sampled_from(["", "-"]),
-        st.sampled_from(["1" + "0" * 308, "9" * 400, "3" * 4300, "1" * 4301, "5" * 6000]),
-    )
-    | st.floats()
-    | st.sampled_from([0.5, 1.0, 1e-320, 1.0000000000000002])
-    | st.text(max_size=4)
-)
-JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=12,
-)
-
-
-def mostly(sane):
-    """Values of ``sane``, but in one draw of sixteen any JSON value."""
-    return st.integers(0, 15).flatmap(lambda k: JSON_VALUES if k == 0 else sane)
 
 
 # values shaped like a dataset, each part of which may be any JSON value

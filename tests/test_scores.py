@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 
 import ugmine as ug
-from ugmine.scores import _raw_grid, _raw_score
+from ugmine.scores import _raw_grid, _raw_score, envelope_from_grid
 
 KINDS = list(ug.SCORE_KINDS)
 
 
 def spec(kind, cap=0.0):
     return ug.ScoreFunction(kind, cap)
+
+
+def envelope(s, n_pos, n_neg):
+    """Table of ``upper_envelope`` values, as the search's bound reads it."""
+    return envelope_from_grid(ug.score_grid(s, n_pos, n_neg))
 
 
 class TestEvalScore:
@@ -106,7 +111,7 @@ class TestEnvelope:
     def test_table_matches_pointwise(self, kind):
         for cap in (0.0, 0.01):
             s = spec(kind, cap)
-            table = ug.envelope_table(s, 4, 3)
+            table = envelope(s, 4, 3)
             for a in range(5):
                 for b in range(4):
                     assert table[a, b] == ug.upper_envelope(s, a, b, 4, 3)
@@ -121,16 +126,16 @@ class TestEnvelope:
                 raw = _raw_grid(s, n_pos, n_neg)
                 running = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
                 expected = np.minimum(running, s.cap)
-                assert ug.envelope_table(s, n_pos, n_neg).tobytes() == expected.tobytes()
+                assert envelope(s, n_pos, n_neg).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_monotone_in_both_arguments(self, kind):
-        table = ug.envelope_table(spec(kind), 5, 5)
+        table = envelope(spec(kind), 5, 5)
         assert (table[1:, :] >= table[:-1, :]).all()
         assert (table[:, 1:] >= table[:, :-1]).all()
 
     def test_confidence_envelope_is_one(self):
-        table = ug.envelope_table(spec("conf"), 4, 4)
+        table = envelope(spec("conf"), 4, 4)
         assert (table[1:, :] == 1.0).all()
         assert (table[0, :] == 0.0).all()
 

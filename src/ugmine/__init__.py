@@ -18,8 +18,6 @@ from .distribution import (
     joint_distribution,
     measure_bound,
     measure_from_distribution,
-    measure_median,
-    measure_mode,
     measure_value,
     poisson_binomial,
     score_distribution,

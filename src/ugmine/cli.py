@@ -287,7 +287,7 @@ def _run_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_features(path: str) -> list[Subgraph]:
+def _load_features(path: str, num_nodes: int) -> list[Subgraph]:
     if not os.path.isfile(path):
         raise UsageError(f"features file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -315,12 +315,17 @@ def _load_features(path: str) -> list[Subgraph]:
             features.append(Subgraph.from_edges(pairs))
         except ValueError as exc:
             raise ValueError(f"{path}: feature {k}: {exc}") from exc
+        top = max(features[-1].nodes)
+        if top >= num_nodes:
+            raise ValueError(
+                f"{path}: feature {k}: node {top} outside universe of {num_nodes} nodes"
+            )
     return features
 
 
 def _run_featurize(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.input)
-    features = _load_features(args.features)
+    features = _load_features(args.features, dataset.num_nodes)
     if not features:
         raise UsageError("features file holds no features")
     _emit(export_csv(featurize(dataset, features)), args.out)

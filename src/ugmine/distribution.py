@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Dataset, Subgraph, UncertainGraph, containment_probability
+from .graphs import _containment_matrix
 from .scores import ScoreFunction, envelope_from_grid, score_grid
 
 EXPECTATION = "exp"
@@ -223,14 +224,6 @@ def mode_from_masses(scores: Sequence[float], masses: Sequence[float]) -> float:
     return best_s
 
 
-def measure_median(dist: ScoreDistribution) -> float:
-    return median_from_masses(dist.scores(), dist.probabilities())
-
-
-def measure_mode(dist: ScoreDistribution) -> float:
-    return mode_from_masses(dist.scores(), dist.probabilities())
-
-
 def phi_pr_of_pairs(pairs: Iterable[tuple[float, float]], phi: float) -> float:
     """Probability mass on raw (score, probability) pairs scoring at least phi."""
     return sum(p for s, p in pairs if s >= phi)
@@ -386,18 +379,17 @@ def measure_from_distribution(dist: ScoreDistribution, measure: MeasureSpec) -> 
     if measure.kind == PHI_PROBABILITY:
         assert measure.phi is not None
         return phi_pr_of_pairs(dist.atoms, measure.phi)
-    if measure.kind == MEDIAN:
-        return measure_median(dist)
-    return measure_mode(dist)
+    pick = median_from_masses if measure.kind == MEDIAN else mode_from_masses
+    return pick(dist.scores(), dist.probabilities())
 
 
 def expected_frequency(g: Subgraph, dataset: Dataset) -> float:
-    """Mean containment probability over the whole dataset.
+    """Mean containment probability over the whole dataset, from ``featurize``'s column.
 
     Anti-monotone under subgraph extension, hence a sound frequency-pruning
-    bound for the miner.
+    bound for the miner; it is a mined feature's ``exp_freq`` bit for bit
+    when the feature has at most two edges (the same product, in order).
     """
     if len(dataset) == 0:
         raise ValueError("expected frequency needs at least one graph")
-    total = sum(containment_probability(g, graph) for graph in dataset.graphs)
-    return total / len(dataset)
+    return float(_containment_matrix(dataset, [g])[:, 0].mean())

@@ -51,8 +51,8 @@ what was evaluated ahead. θ only grows, so a node below θ now is cut when it
 is popped; a node that passes now but is cut later only wastes its list.
 In ``mine`` the children of a batch hold rows of one copy of the batch's
 frequent rows, so the nodes waiting on the stack do not pin the whole batch
-product; the roots hold views of the probability rows, and a kept
-candidate holds copies of its support laws.
+product; the roots hold views of the probability rows. A kept candidate
+holds a copy of its row; only the kept features get support laws, at export.
 
 A search reads its dataset through the dataset's edge table
 (``graphs._EdgeTable``), built once per dataset and shared with every
@@ -122,7 +122,6 @@ class MiningConfig:
     measure: MeasureSpec
     score: ScoreFunction
     max_edges: int | None = None
-    bound_pruning: bool = True
 
     def __post_init__(self) -> None:
         if self.t < 1:
@@ -272,13 +271,11 @@ class _Node:
     sub: Subgraph
     contain: np.ndarray
     exp_freq: float
-    # Computed only above min_sup, the bound only when bound pruning is on;
-    # otherwise the value is nan, the bound +inf (never bound-pruned) and the
-    # distributions None.
+    # Computed only above min_sup, the bound only when ``mine`` runs a bounded
+    # measure; otherwise nan and +inf (never bound-pruned). Support laws are
+    # computed only for the kept nodes, at export (see ``_CandidateList``).
     value: float = math.nan
     bound: float = math.inf
-    pos_dist: np.ndarray | None = None
-    neg_dist: np.ndarray | None = None
     # (child count, child nodes last child first) once the child list has
     # been evaluated; it is counted only when this node is expanded
     kids: tuple[int, list[_Node]] | None = None
@@ -287,33 +284,41 @@ class _Node:
 class _CandidateList:
     """Bounded best-t buffer ordered by (measure desc, fewer edges, lex edges).
 
-    A kept feature holds copies of its support laws, so it does not pin the
-    arrays of the batch that evaluated it.
+    A kept node holds a copy of its containment row, so it does not pin the
+    arrays of the batch that evaluated it; ``export`` computes its laws.
     """
 
     def __init__(self, t: int) -> None:
         self.t = t
-        self.entries: list[tuple[tuple, MinedFeature]] = []
+        self.entries: list[tuple[tuple, _Node]] = []
 
     def theta(self) -> float:
-        """Measure value of the current worst kept feature; -inf until full."""
+        """Measure value of the current worst kept node; -inf until full."""
         if len(self.entries) < self.t:
             return -math.inf
-        return self.entries[-1][1].measure_value
+        return self.entries[-1][1].value
 
     def offer(self, node: _Node) -> None:
         key = (-node.value, len(node.sub.edges), node.sub.edges)
         if len(self.entries) == self.t and key > self.entries[-1][0]:
             return
-        feature = MinedFeature(
-            node.sub, node.value, node.exp_freq, node.pos_dist.copy(), node.neg_dist.copy()
-        )
-        insort(self.entries, (key, feature))
+        kept = _Node(node.sub, node.contain.copy(), node.exp_freq, node.value)
+        insort(self.entries, (key, kept))
         if len(self.entries) > self.t:
             self.entries.pop()
 
-    def export(self) -> tuple[MinedFeature, ...]:
-        return tuple(feature for _, feature in self.entries)
+    def export(self, pos_cols: np.ndarray, neg_cols: np.ndarray) -> tuple[MinedFeature, ...]:
+        """The kept nodes, best first, with the laws of their ``pos_cols`` and
+        ``neg_cols`` entries: those the search computed, as the DP is row-stable."""
+        if not self.entries:
+            return ()
+        rows = np.array([node.contain for _, node in self.entries])
+        pos = _batched_support(rows[:, pos_cols])
+        neg = _batched_support(rows[:, neg_cols])
+        return tuple(
+            MinedFeature(node.sub, node.value, node.exp_freq, p, n)
+            for (_, node), p, n in zip(self.entries, pos, neg)
+        )
 
 
 def _nonzero_words(rows: np.ndarray) -> np.ndarray:
@@ -366,7 +371,7 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
     pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
     neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
     grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, len(pos_cols), len(neg_cols)))
-    bounded = prune and cfg.bound_pruning and grids.bounded
+    bounded = prune and grids.bounded
     cap = cfg.max_edges or math.inf  # max_edges is >= 1 when given
 
     def evaluate(
@@ -404,7 +409,6 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
                 node = _Node(kids[i - start], held[j if compact else r], exp_freq[r])
                 if exp_freq[r] > cfg.min_sup:
                     node.value, node.bound = values[j], bounds[j]
-                    node.pos_dist, node.neg_dist = pos[j], neg[j]
                     j += 1
                 nodes.append(node)
             nodes.reverse()
@@ -478,7 +482,7 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
         stats.frequency_pruned += count - len(kids)
         stack += kids
 
-    return MiningResult(cands.export(), stats)
+    return MiningResult(cands.export(pos_cols, neg_cols), stats)
 
 
 def mine(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
@@ -487,5 +491,5 @@ def mine(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
 
 
 def mine_exhaustive(dataset: Dataset, cfg: MiningConfig) -> MiningResult:
-    """Reference run that prunes nothing and ignores ``bound_pruning``; same output contract."""
+    """Reference run that prunes nothing; same output contract."""
     return _search(dataset, cfg, prune=False)

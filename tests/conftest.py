@@ -141,9 +141,10 @@ def reference_children(parent: Subgraph, universe) -> list[Subgraph]:
     return out
 
 
-def eager_search(dataset: Dataset, cfg) -> tuple:
+def eager_search(dataset: Dataset, cfg, bounded: bool = True) -> tuple:
     """Reference traversal that builds every child and counts a child list
-    when it pushes it.
+    when it pushes it; with ``bounded`` it prunes by the bound of a bounded
+    measure, as ``mine`` does.
 
     The tree comes from ``reference_children``; a node's containment row is
     its parent's times the added edge's probabilities, and its measure value
@@ -155,7 +156,7 @@ def eager_search(dataset: Dataset, cfg) -> tuple:
     pos = [i for i, y in enumerate(dataset.labels) if y == 1]
     neg = [i for i, y in enumerate(dataset.labels) if y == -1]
     grids = _MeasureGrids(cfg.measure, score_grid(cfg.score, len(pos), len(neg)))
-    bounded = cfg.bound_pruning and grids.bounded
+    bounded = bounded and grids.bounded
     universe = union_graph(dataset)
     universe_edges = sorted(universe.edges)
     edge_probs = {

@@ -382,8 +382,12 @@ class TestFeaturizeCommand:
             b'{"features": {"edges": [[0, 1]]}}',
             b'{"features": [{"edges": [[0, 1]]}]}\xff',
             b'{"features": [{"edges": [[0, ' + b"5" * 5000 + b"]]}]}",
+            b'[{"edges": [[0, 3]]}]',
         ],
-        ids=["entry-without-edges", "features-not-a-list", "not-utf8", "huge-integer"],
+        ids=[
+            "entry-without-edges", "features-not-a-list", "not-utf8", "huge-integer",
+            "node-outside-universe",
+        ],
     )
     def test_malformed_features_file(self, capsys, fig2_file, tmp_path, content):
         features = tmp_path / "features.json"

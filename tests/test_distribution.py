@@ -133,31 +133,31 @@ class TestMeasures:
 
     def test_median_cdf_walk(self):
         dist = ug.distribution_from_pairs([(0.0, 0.3), (1.0, 0.3), (2.0, 0.4)])
-        assert ug.measure_median(dist) == 0.0
+        assert ug.measure_from_distribution(dist, ug.MeasureSpec("median")) == 0.0
 
     def test_median_fallback(self):
         dist = ug.distribution_from_pairs([(0.01, 0.9999), (math.inf, 0.0001)])
-        assert ug.measure_median(dist) == 0.01
+        assert ug.measure_from_distribution(dist, ug.MeasureSpec("median")) == 0.01
 
     def test_median_single_atom(self):
         dist = ug.distribution_from_pairs([(0.7, 1.0)])
-        assert ug.measure_median(dist) == 0.7
+        assert ug.measure_from_distribution(dist, ug.MeasureSpec("median")) == 0.7
 
     def test_median_boundary_half(self):
         dist = ug.distribution_from_pairs([(1.0, 0.5), (2.0, 0.5)])
-        assert ug.measure_median(dist) == 1.0
+        assert ug.measure_from_distribution(dist, ug.MeasureSpec("median")) == 1.0
 
     def test_mode_unique_max(self):
         dist = ug.distribution_from_pairs([(0.0, 0.25), (0.5, 0.5), (1.0, 0.25)])
-        assert ug.measure_mode(dist) == 0.5
+        assert ug.measure_from_distribution(dist, ug.MeasureSpec("mode")) == 0.5
 
     def test_mode_tie_breaks_low(self):
         dist = ug.distribution_from_pairs([(0.0, 0.5), (1.0, 0.5)])
-        assert ug.measure_mode(dist) == 0.0
+        assert ug.measure_from_distribution(dist, ug.MeasureSpec("mode")) == 0.0
 
     def test_mode_single_atom(self):
         dist = ug.distribution_from_pairs([(0.3, 1.0)])
-        assert ug.measure_mode(dist) == 0.3
+        assert ug.measure_from_distribution(dist, ug.MeasureSpec("mode")) == 0.3
 
     def test_phi_extremes(self):
         dist = ug.distribution_from_pairs([(0.2, 0.5), (0.8, 0.5)])
@@ -198,6 +198,21 @@ class TestExpectedFrequency:
             if sup is None:
                 continue
             assert ug.expected_frequency(sup, ds) <= ug.expected_frequency(g, ds) + 1e-12
+
+    def test_equals_mined_exp_freq(self):
+        """Up to two edges a feature's containment row is the ascending
+        product that ``featurize`` takes, so the means agree bit for bit."""
+        ds = ug.make_preset("hiv-like", seed=0)
+        checked = 0
+        for measure, score in [
+            (ug.MeasureSpec("exp"), ug.ScoreFunction("hsic")),
+            (ug.MeasureSpec("phi-pr", 1.0), ug.ScoreFunction("ratio")),
+        ]:
+            cfg = ug.MiningConfig(t=100, min_sup=0.05, measure=measure, score=score, max_edges=2)
+            for f in ug.mine(ds, cfg).features:
+                assert ug.expected_frequency(f.subgraph, ds).hex() == f.exp_freq.hex(), f.subgraph
+                checked += 1
+        assert checked == 200
 
 
 class TestUpperBounds:

@@ -353,6 +353,38 @@ class TestLookAhead:
                             cut_ahead += seen[-1][1] > seen[0][1]
         assert cut_ahead > 0
 
+    def test_exported_laws(self, monkeypatch):
+        """The laws computed at export are bit for bit those of
+        ``mine_exhaustive``, and of ``support_distribution`` for a feature of
+        at most two edges, whose row is the same ascending product."""
+        rng = random.Random(89)
+        phi = {"conf": 0.5, "ratio": 1.0, "gtest": 1.0, "hsic": 0.01}
+        short = deep = 0
+        for _ in range(8):
+            ds = make_random_dataset(rng, n_graphs=rng.randint(2, 6), num_nodes=4, max_edges=4)
+            for kind, mk, t in itertools.product(ug.SCORE_KINDS, ug.MEASURE_KINDS, (2, 10**6)):
+                measure = ug.MeasureSpec(mk, phi[kind] if mk == "phi-pr" else None)
+                cfg = ug.MiningConfig(
+                    t=t, min_sup=0.1, measure=measure, score=ug.ScoreFunction(kind)
+                )
+                for window, cells in self.LIMITS:
+                    monkeypatch.setattr(miner, "_WINDOW", window)
+                    monkeypatch.setattr(miner, "_CELLS", cells)
+                    pruned, full = [
+                        [(f.subgraph, f.pos_dist.tobytes(), f.neg_dist.tobytes())
+                         for f in run(ds, cfg).features]
+                        for run in (ug.mine, ug.mine_exhaustive)
+                    ]
+                    assert pruned == full
+                    for sub, pos, neg in pruned:
+                        if len(sub.edges) > 2:
+                            deep += 1
+                            continue
+                        assert pos == ug.support_distribution(sub, ds.pos).tobytes()
+                        assert neg == ug.support_distribution(sub, ds.neg).tobytes()
+                        short += 1
+        assert short > 1000 and deep > 100
+
 
 def edge_probability(rng):
     """A probability for the count test: certain edges, subnormals whose
@@ -612,13 +644,12 @@ class TestPruneSoundness:
         ]:
             cfg = ug.MiningConfig(t=2, min_sup=0.05, measure=measure, score=score)
             with_bound = ug.mine(small, cfg)
-            without = ug.mine(small, ug.MiningConfig(
-                t=2, min_sup=0.05, measure=measure, score=score, bound_pruning=False
-            ))
-            assert [f.subgraph for f in with_bound.features] == [
-                f.subgraph for f in without.features
-            ]
-            assert with_bound.stats.nodes_evaluated <= without.stats.nodes_evaluated
+            # TestCounts pins the bounded reference walk's counts to mine's
+            without, evaluated, *_ = eager_search(small, cfg, bounded=False)
+            assert [
+                (f.subgraph.edges, f.measure_value) for f in with_bound.features
+            ] == without
+            assert with_bound.stats.nodes_evaluated <= evaluated
 
 
 class TestBatchedSupport:
@@ -687,11 +718,16 @@ class TestFrequencyGate:
                 for run in (ug.mine, ug.mine_exhaustive):
                     rows.clear()
                     result = run(ds, cfg)
-                    # calls come in (positive, negative) pairs over the same rows
+                    # calls come in (positive, negative) pairs over the same rows;
+                    # the last is the export's, one row per kept feature
                     pairs = list(zip(rows[::2], rows[1::2]))
+                    search = pairs
+                    if result.features:
+                        *search, (exported, _) = pairs
+                        assert len(exported) == len(result.features)
                     if run is ug.mine:
                         frequent = result.stats.nodes_evaluated - result.stats.frequency_pruned
-                        assert sum(len(p) for p, _ in pairs) == frequent
+                        assert sum(len(p) for p, _ in search) == frequent
                     for p, n in pairs:
                         freq = (p.sum(axis=1) + n.sum(axis=1)) / len(ds)
                         assert np.all(freq > cfg.min_sup - 1e-12)

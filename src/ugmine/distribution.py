@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -229,6 +229,18 @@ def phi_pr_of_pairs(pairs: Iterable[tuple[float, float]], phi: float) -> float:
     return sum(p for s, p in pairs if s >= phi)
 
 
+@lru_cache(maxsize=16)
+def _score_groups(cells: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending ``score_group_key`` groups of a float grid given as its
+    bytes, and each cell's group in ravel order; memoized like ``score_grid``
+    and read-only."""
+    keys = np.array([score_group_key(s) for s in np.frombuffer(cells).tolist()])
+    scores, inverse = np.unique(keys, return_inverse=True)
+    ids = inverse.ravel()
+    scores.flags.writeable = ids.flags.writeable = False
+    return scores, ids
+
+
 class _MeasureGrids:
     """Measure tables over the (n_pos+1) x (n_neg+1) support-pair grid.
 
@@ -237,7 +249,8 @@ class _MeasureGrids:
     table (plus a +inf mask for expectation); they alone are ``bounded``, by
     the same weights over the grid's running maximum (``envelope_from_grid``),
     which back ``bounds`` and are built when it first runs. Median and mode
-    group the cells by ``score_group_key`` and walk the grouped masses.
+    group the cells by ``score_group_key``, once per grid (``_score_groups``),
+    and walk the grouped masses.
 
     ``mine`` and the single-feature API both read ``values`` and ``bounds``.
     """
@@ -247,9 +260,7 @@ class _MeasureGrids:
         self.phi = measure.phi
         self.bounded = self.kind in (EXPECTATION, PHI_PROBABILITY)
         if self.kind in (MEDIAN, MODE):
-            keys = np.array([score_group_key(float(s)) for s in grid.ravel()])
-            self.group_scores, inverse = np.unique(keys, return_inverse=True)
-            self.group_ids = inverse.ravel()
+            self.group_scores, self.group_ids = _score_groups(grid.tobytes())
         else:
             self.grid = grid
             self.weights = self._weights(grid)

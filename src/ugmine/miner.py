@@ -12,28 +12,32 @@ ascending edge order. An extension is accepted when its column exceeds a
 threshold computed once per attach point (the reverse-search parent test of
 Avis & Fukuda, 1996), from connectivity tests (``_threshold``); a one-edge
 parent needs none, since both its ends are leaves and its own edge is every
-extension's threshold. A child at or below min_sup is never a candidate and,
-since expected frequency is anti-monotone, neither is any of its
-descendants: the pruned search (``mine``) builds only the children above it,
-and the exhaustive reference (``mine_exhaustive``) builds and expands them
-all. ``mine`` first counts the graphs in which a child's added edge and its
-parent are both nonzero, from one bitset per universe edge, and computes the
-containment row and expected frequency only of a child whose count, over the
-number of graphs, exceeds min_sup; every other child has a mean of at most
-that ratio, so it is infrequent (see ``_may_be_frequent``).
-``mine_exhaustive`` computes every row. The exact support distributions, the
+extension's threshold.
+
+Every frequency filter keeps the rows above one floor: min_sup in the pruned
+search (``mine``), and -1, below every mean, in the exhaustive reference
+(``mine_exhaustive``), which so runs the same code and builds and expands
+every node. A child at or below min_sup is never a candidate and, since
+expected frequency is anti-monotone, neither is any of its descendants. A
+child is first counted: the number of graphs in which its added edge and
+its parent are both nonzero, from one bitset per universe edge. Its
+containment row and expected frequency are computed only if that count,
+over the number of graphs, exceeds the floor; otherwise its mean is at most
+that ratio (see ``_may_be_frequent``). The exact support distributions, the
 measure value and the bound are computed only for children above min_sup.
 Such a child is offered to a bounded best-t candidate list when it is
 popped, and ``mine`` cuts its subtree when, for the expectation and
 phi-probability measures, the dominating upper bound, raised past rounding
 error, is below the current t-th best value θ.
 
-By the same count, ``mine`` gives probability rows only to the store edges,
-those nonzero in more than min_sup of the graphs. An edge nonzero in k of G
-graphs has a mean of at most fl(k / G), and a containment row holding it is
-nonzero in at most those k graphs, so every other edge is an infrequent root
-and lies in no frequent subgraph. Its bitset is empty, so the count test
-drops every child that adds it and no product reads its row.
+The same floor picks the store, the rows the walk reads. Only the edges
+nonzero in more than floor of the graphs get probability rows: an edge
+nonzero in k of G graphs has a mean of at most fl(k / G). Of these, the
+store keeps the frequent roots, those whose mean is above the floor. A
+containment row holding any other edge is at most that edge's row
+entrywise, so the edge lies in no frequent subgraph; its bitset is empty,
+so the count test drops every child that adds it and no product reads a
+row for it.
 
 Child lists are evaluated in look-ahead batches. When a popped node is to be
 expanded and its list is not yet evaluated, the next stack nodes that would
@@ -49,22 +53,21 @@ A child list is a pure function of its parent, whatever shares its batch
 (see the last paragraph). The pop order does not depend on
 what was evaluated ahead. θ only grows, so a node below θ now is cut when it
 is popped; a node that passes now but is cut later only wastes its list.
-In ``mine`` the children of a batch hold rows of one copy of the batch's
-frequent rows, so the nodes waiting on the stack do not pin the whole batch
-product; the roots hold views of the probability rows. A kept candidate
-holds a copy of its row; only the kept features get support laws, at export.
+The children of a batch hold rows of one copy of its rows above the floor,
+or of the batch product itself when the floor drops none, so the nodes
+waiting on the stack pin no dropped row; the roots hold views of the store.
+A kept candidate holds a copy of its row; only the kept features get
+support laws, at export.
 
 A search reads its dataset through the dataset's edge table
 (``graphs._EdgeTable``), built once per dataset and shared with every
 ``Dataset.subset`` of it. ``_search`` selects the table entries of the
 dataset's graphs once; ``union_graph`` takes its edges and their endpoints
 from that selection, and the probability rows are one numpy scatter of the
-entries of their edges. ``mine`` densifies only the store edges, so a
-shallow search holds no edge-by-graph matrix (3 of the 6670 edges of
-adhd-like seed 0 at min_sup 0.2); ``mine_exhaustive`` densifies every
-edge. The bitsets are read off the store's rows in one pass, after the
-root batch. The selection, the rows and the bitsets live only as long as the
-search.
+entries of their edges. A shallow search so holds no edge-by-graph matrix
+(3 of the 6670 edges of adhd-like seed 0 get rows at min_sup 0.2). The
+bitsets are read off the store's rows in one pass, after the root batch.
+The selection, the rows and the bitsets live only as long as the search.
 
 ``SearchStats.nodes_evaluated`` counts every child of an expanded node,
 built or not, when its parent is expanded; a list evaluated ahead for a
@@ -330,19 +333,19 @@ def _nonzero_words(rows: np.ndarray) -> np.ndarray:
 
 
 def _may_be_frequent(
-    parents: np.ndarray, owner: np.ndarray, edges: np.ndarray, min_sup: float
+    parents: np.ndarray, owner: np.ndarray, edges: np.ndarray, floor: float
 ) -> np.ndarray:
-    """The children whose containment row may have a mean above ``min_sup``.
+    """The children whose containment row may have a mean above ``floor``.
 
     Child r is the parent row ``parents[owner[r]]`` times an edge row that is
     nonzero in the graphs of the bitset ``edges[r]`` (see ``_nonzero_words``).
     A row nonzero in k of its G entries, each at most 1, sums to at most k
     and has a mean of at most fl(k / G), since rounding is monotone. So a
-    child that shares k graphs with its parent is kept iff k / G > min_sup,
-    and no child dropped here is above min_sup.
+    child that shares k graphs with its parent is kept iff k / G > floor,
+    and no child dropped here is above the floor.
     """
     shared = np.bitwise_count(edges & _nonzero_words(parents)[owner]).sum(axis=1)
-    return np.flatnonzero(shared / parents.shape[1] > min_sup)
+    return np.flatnonzero(shared / parents.shape[1] > floor)
 
 
 def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
@@ -357,16 +360,17 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
 
     n_graphs = len(dataset)
     n_edges = len(universe.edges)
-    if prune:
-        # the store edges: nonzero, by count, in more than min_sup of the
-        # graphs (an edge has one entry per graph that holds it)
-        counts = np.bincount(selection.local, minlength=n_edges)
-        dense = np.flatnonzero(counts / n_graphs > cfg.min_sup)
-    else:
-        dense = np.arange(n_edges)
+    floor = cfg.min_sup if prune else -1.0  # -1, below every mean, keeps every row
+    # the edges nonzero, by count (one entry per graph), in more than floor of the graphs
+    counts = np.bincount(selection.local, minlength=n_edges)
+    dense = np.flatnonzero(counts / n_graphs > floor)
     # one row of per-graph containment probabilities per dense edge
     probs = _probability_matrix(dataset, dense, selection)
     del selection  # the walk reads only probs; free the entries before it
+    # the store: the rows of the frequent roots
+    frequent = np.flatnonzero(probs.mean(axis=1) > floor)
+    if len(frequent) < len(dense):
+        dense, probs = dense[frequent], probs[frequent]
 
     pos_cols = np.array(dataset.pos_indices, dtype=np.intp)
     neg_cols = np.array(dataset.neg_indices, dtype=np.intp)
@@ -375,38 +379,35 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
     cap = cfg.max_edges or math.inf  # max_edges is >= 1 when given
 
     def evaluate(
-        lists: list[_ChildList], contain: np.ndarray, index: np.ndarray, compact: bool
+        lists: list[_ChildList], contain: np.ndarray, index: np.ndarray
     ) -> Iterator[tuple[int, list[_Node]]]:
         """Nodes of the child lists ``lists``, list after list; yields (child
         count, nodes last child first) per list.
 
         Row r of ``contain`` is the containment row of child ``index[r]`` of
-        the lists' concatenation, ``index`` ascending; a child it leaves out
-        cannot be above min_sup. A child at or below min_sup is built only by
-        the exhaustive search, which is given every row. With ``compact`` the
-        frequent nodes hold rows of one copy of the frequent rows, so they do
-        not keep ``contain`` alive; otherwise they hold views of ``contain``.
+        the lists' concatenation, ``index`` ascending; a child it leaves out,
+        like a row dropped here, is at or below the floor.
         """
         exp_freq = contain.mean(axis=1)
+        kept = np.flatnonzero(exp_freq > floor)
+        if len(kept) < len(index):
+            contain, index, exp_freq = contain[kept], index[kept], exp_freq[kept]
         live = np.flatnonzero(exp_freq > cfg.min_sup)
-        rows = contain[live]
         if len(live):
+            rows = contain if len(live) == len(contain) else contain[live]
             pos = _batched_support(rows[:, pos_cols])
             neg = _batched_support(rows[:, neg_cols])
             values = grids.values(pos, neg).tolist()
             bounds = grids.bounds(pos, neg).tolist() if bounded else [math.inf] * len(live)
-        built = live if prune else np.arange(len(index))
-        at = index[built].tolist()  # the child index of each row built
-        built = built.tolist()
+        at = index.tolist()  # the child index of each row
         exp_freq = exp_freq.tolist()
-        held = rows if compact else contain
-        j = k = start = 0  # next frequent row; next row built; first child of the list
+        j = k = start = 0  # next frequent row; next row; first child of the list
         for kids in lists:
             nodes = []
             end = start + len(kids)
             stop = bisect_left(at, end, k)
-            for r, i in zip(built[k:stop], at[k:stop]):
-                node = _Node(kids[i - start], held[j if compact else r], exp_freq[r])
+            for r in range(k, stop):
+                node = _Node(kids[at[r] - start], contain[r], exp_freq[r])
                 if exp_freq[r] > cfg.min_sup:
                     node.value, node.bound = values[j], bounds[j]
                     j += 1
@@ -419,9 +420,8 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
         """Evaluate the child lists of ``node`` and of the next stack nodes
         that would be expanded under the current theta, in one batch.
 
-        ``mine`` multiplies out only the children that share more than
-        min_sup of the graphs with their parent; the others cannot be above
-        min_sup, since each term of a row's mean is at most 1.
+        Only the children that share more than floor of the graphs with their
+        parent are multiplied out (see ``_may_be_frequent``).
         """
         batch, lists, n_rows = [], [], 0
         for other in itertools.chain((node,), itertools.islice(reversed(stack), _WINDOW - 1)):
@@ -435,29 +435,26 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
                 break
         owner = np.repeat(np.arange(len(batch)), [len(kids) for kids in lists])
         added = np.concatenate([kids.added for kids in lists])
-        index, rows = np.arange(n_rows), added  # the exhaustive search has every row
-        if prune:
-            parents = np.array([parent.contain for parent in batch])
-            index = _may_be_frequent(parents, owner, nonzero[added], cfg.min_sup)
-            owner, rows = owner[index], slot[added[index]]
+        parents = np.array([parent.contain for parent in batch])
+        index = _may_be_frequent(parents, owner, nonzero[added], floor)
+        owner = owner[index]
         # multiplied in place, parent by parent: a gathered copy of the parent
         # rows would double the memory of a batch whose rows are all computed
-        contain = probs[rows]
+        contain = probs[slot[added[index]]]
         ends = np.searchsorted(owner, np.arange(1, len(batch) + 1)).tolist()
         for parent, start, end in zip(batch, [0] + ends, ends):
             contain[start:end] *= parent.contain
-        for parent, kids in zip(batch, evaluate(lists, contain, index, compact=prune)):
+        for parent, kids in zip(batch, evaluate(lists, contain, index)):
             parent.kids = kids
 
-    ((count, stack),) = evaluate([children(None, universe)], probs, dense, compact=False)
-    if prune:
-        # built after the root batch, which is the peak of a shallow search
-        slot = np.zeros(n_edges, dtype=np.intp)  # the row of each store edge
-        slot[dense] = np.arange(len(dense))
-        # the graphs where each universe edge has nonzero probability; none
-        # for an edge outside the store
-        nonzero = np.zeros((n_edges, -(-n_graphs // 64)), dtype=np.uint64)
-        nonzero[dense] = _nonzero_words(probs)
+    ((count, stack),) = evaluate([children(None, universe)], probs, dense)
+    # built after the root batch, which is the peak of a shallow search
+    slot = np.zeros(n_edges, dtype=np.intp)  # the row of each store edge
+    slot[dense] = np.arange(len(dense))
+    # the graphs where each universe edge has nonzero probability; none for an
+    # edge outside the store
+    nonzero = np.zeros((n_edges, -(-n_graphs // 64)), dtype=np.uint64)
+    nonzero[dense] = _nonzero_words(probs)
     stats.nodes_evaluated, stats.frequency_pruned = count, count - len(stack)
     theta = -math.inf
     while stack:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -453,6 +454,63 @@ def test_featurize_generated_feature_files(featurize_dir, value):
     assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     if code == 2:
         assert "holds no features" in err.getvalue()
+
+
+# mine and evaluate flag values: small and huge integers, floats given as
+# text, and junk; three draws in four take a value in the flag's range
+FLAG_VALUES = (
+    st.integers(-3, 8).map(str)
+    | st.sampled_from([str(10**30), str(-(10**30))])
+    | st.floats().map(repr)
+    | st.sampled_from(["nan", "inf", "-inf", "5e-324", "1e400", "-1e400", "-0.0"])
+    | st.text(max_size=4)
+)
+USABLE = {
+    "--top": ["1", "3", str(10**30)],
+    "--min-sup": ["0", "5e-324", "0.2", "0.5", "1"],
+    "--max-edges": ["1", "2", str(10**30)],
+    "--phi": ["-inf", "0", "0.5", "1", "1e400"],
+    "--cap-epsilon": ["0", "5e-324", "0.01", "1e400"],
+    "--train-fraction": ["5e-324", "0.5", "0.75", "0.9999999999999999"],
+    "--seed": ["0", "7", str(10**30)],
+}
+MINE_FLAGS = ("--top", "--min-sup", "--max-edges", "--phi", "--cap-epsilon")
+EVALUATE_FLAGS = MINE_FLAGS + ("--train-fraction", "--seed")
+
+
+@st.composite
+def flag_lines(draw):
+    """A mine or evaluate command line with some of its flags drawn; each is
+    given as --flag=value, so that a value such as -inf is not read as an
+    option. evaluate always gets a small --repeats, so no example runs long."""
+    command = draw(st.sampled_from(["mine", "evaluate"]))
+    names = MINE_FLAGS if command == "mine" else EVALUATE_FLAGS
+    argv = [command]
+    for name in draw(st.lists(st.sampled_from(names), unique=True)):
+        usable = st.sampled_from(USABLE[name])
+        value = draw(st.integers(0, 3).flatmap(lambda k: FLAG_VALUES if k == 0 else usable))
+        argv.append(f"{name}={value}")
+    if command == "evaluate":
+        argv.append("--repeats=" + draw(st.sampled_from(["-1", "0", "1", "2", "x"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag_lines())
+def test_mine_and_evaluate_generated_flags(argv):
+    """Any flag values give exit 0, 1 or 2, and a nonzero exit prints one
+    line on stderr, starting ``error:``; no run warns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--input", str(DATA_DIR / "fig2.json")])
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 class TestEvaluateCommand:

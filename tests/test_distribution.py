@@ -302,6 +302,24 @@ class TestMeasureGridRows:
         expected = _MeasureGrids._bilinear(pos, real(grid), neg) * slack
         assert np.array_equal(bounds, expected)
 
+    def test_median_and_mode_group_each_grid_once(self, monkeypatch):
+        import ugmine.distribution as distribution
+
+        keys = []
+        real = distribution.score_group_key
+        monkeypatch.setattr(distribution, "score_group_key", lambda s: keys.append(s) or real(s))
+        distribution._score_groups.cache_clear()
+        grid = ug.score_grid(ug.ScoreFunction("gtest"), 5, 4)
+        first = _MeasureGrids(ug.MeasureSpec("median"), grid)
+        assert keys == grid.ravel().tolist()
+        again = _MeasureGrids(ug.MeasureSpec("mode"), grid.copy())
+        assert len(keys) == grid.size
+        assert again.group_scores is first.group_scores and again.group_ids is first.group_ids
+        assert not first.group_scores.flags.writeable and not first.group_ids.flags.writeable
+        grouped = [real(s) for s in keys]
+        assert first.group_scores.tolist() == sorted(set(grouped))
+        assert first.group_scores[first.group_ids].tolist() == grouped
+
     def test_rows_independent_of_batch(self):
         rng = np.random.default_rng(53)
         n_pos, n_neg, k = 40, 30, 60

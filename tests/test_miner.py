@@ -248,12 +248,56 @@ class TestMine:
         assert r1.features == r2.features
         assert r1.stats.nodes_evaluated == r2.stats.nodes_evaluated
 
-    def test_exhaustive_visits_every_tree_node(self, fig2):
+    def test_exhaustive_visits_every_tree_node(self, fig2, monkeypatch):
+        """``mine_exhaustive`` builds and counts every connected subgraph of
+        the union graph up to max_edges and prunes none, also those whose
+        rows underflow to 0 and those at or below min_sup."""
         # union graph is the triangle, whose tree has exactly 7 nodes
         result = ug.mine_exhaustive(fig2, simple_cfg(t=1, min_sup=0.2))
         assert result.stats.nodes_evaluated == 7
         assert result.stats.frequency_pruned == 0
         assert result.stats.bound_pruned == 0
+        rng = random.Random(97)
+        phi = {"conf": 0.5, "ratio": 1.0, "gtest": 1.0, "hsic": 0.01}
+        underflow = infrequent = 0
+        for _ in range(4):
+            n_graphs = rng.randint(2, 6)
+            graphs = [
+                ug.UncertainGraph(5, {
+                    e: edge_probability(rng) for e in rng.sample(all_pairs(5), rng.randint(0, 6))
+                })
+                for _ in range(n_graphs)
+            ]
+            labels = (1, -1) + tuple(rng.choice([1, -1]) for _ in range(n_graphs - 2))
+            ds = ug.Dataset(5, tuple(graphs), labels)
+            subsets = connected_edge_subsets(sorted(ug.union_graph(ds).edges))
+            # a subgraph held by some graph whose containment product is 0 there
+            underflow += sum(
+                any(
+                    all(e in g.edges for e in sub) and math.prod(g.edges[e] for e in sub) == 0.0
+                    for g in ds.graphs
+                )
+                for sub in subsets
+            )
+            for kind, mk, min_sup, max_edges in itertools.product(
+                ug.SCORE_KINDS, ug.MEASURE_KINDS, (0.0, 0.3), (None, 2)
+            ):
+                measure = ug.MeasureSpec(mk, phi[kind] if mk == "phi-pr" else None)
+                cfg = ug.MiningConfig(
+                    t=2, min_sup=min_sup, measure=measure,
+                    score=ug.ScoreFunction(kind), max_edges=max_edges,
+                )
+                size = max_edges or math.inf
+                want = sum(len(sub) <= size for sub in subsets)
+                for window, cells in TestLookAhead.LIMITS:
+                    monkeypatch.setattr(miner, "_WINDOW", window)
+                    monkeypatch.setattr(miner, "_CELLS", cells)
+                    stats = ug.mine_exhaustive(ds, cfg).stats
+                    assert [stats.nodes_evaluated, stats.frequency_pruned, stats.bound_pruned] == [
+                        want, 0, 0
+                    ]
+                infrequent += ug.mine(ds, cfg).stats.frequency_pruned
+        assert underflow > 0 and infrequent > 0
 
 
 class TestMinedValuesMatchOracle:
@@ -543,6 +587,45 @@ class TestStore:
                         assert _bitwise(result)[0] == full
                     deep += any(len(f.subgraph.edges) > 1 for f in result.features)
         assert left_out > 0 and deep > 0
+
+    def test_walk_keeps_the_frequent_root_rows(self, monkeypatch):
+        """After the root batch the walk keeps only the rows of the frequent
+        roots, the edges whose mean exceeds min_sup, and not those of every
+        edge the count keeps; ``mine_exhaustive`` keeps every edge's row. The
+        store's bitsets are read off exactly those rows, in the first
+        ``_nonzero_words`` call, made before any look-ahead batch."""
+        calls = []
+        real = miner._nonzero_words
+
+        def spy(rows):
+            calls.append(rows.copy())
+            return real(rows)
+
+        monkeypatch.setattr(miner, "_nonzero_words", spy)
+        rng = random.Random(101)
+        count_only = 0
+        for n_graphs in (2, 63, 64, 65, 129):
+            for k in sorted({1, n_graphs // 4, n_graphs // 2}):
+                ds = self.boundary_dataset(rng, n_graphs, k)
+                edges = ug.union_graph(ds).columns.edges
+                if not edges:
+                    continue
+                matrix = np.array([[g.edges.get(e, 0.0) for g in ds.graphs] for e in edges])
+                counts = np.array([sum(e in g.edges for g in ds.graphs) for e in edges])
+                frequent = matrix.mean(axis=1) > k / n_graphs
+                count_only += int(np.sum((counts > k) & ~frequent))
+                for max_edges in (None, 1):
+                    cfg = ug.MiningConfig(
+                        t=3, min_sup=k / n_graphs, measure=ug.MeasureSpec("exp"),
+                        score=ug.ScoreFunction("conf"), max_edges=max_edges,
+                    )
+                    for run, rows in ((ug.mine, matrix[frequent]), (ug.mine_exhaustive, matrix)):
+                        calls.clear()
+                        run(ds, cfg)
+                        assert calls[0].shape == rows.shape and np.array_equal(calls[0], rows)
+                        if max_edges == 1:
+                            assert len(calls) == 1  # no node is expanded
+        assert count_only > 0
 
     def test_shallow_search_densifies_count_frequent_edges(self, monkeypatch):
         built = self.spy_rows(monkeypatch)

@@ -61,7 +61,6 @@ from .scores import (
     ScoreFunction,
     eval_score,
     score_grid,
-    upper_envelope,
 )
 from .synth import (
     PRESETS,

@@ -379,6 +379,13 @@ _RUNNERS = {
 }
 
 
+def _report(exc: Exception) -> None:
+    """Print ``exc`` as one ``error:`` line; a character that is not
+    printable, such as a line break in a file name, is written escaped."""
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+    print(f"error: {text}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -386,10 +393,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 2
     except (DatasetFormatError, WorldCountError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 1
 
 

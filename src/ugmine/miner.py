@@ -44,8 +44,9 @@ expanded and its list is not yet evaluated, the next stack nodes that would
 be expanded under the current θ (bound at least θ, below max_edges) join it,
 up to ``_WINDOW`` nodes and until the batch holds ``_CELLS`` containment cells
 (rows × graphs), counting every child row, computed or not. The batch takes
-one count test, one containment product, one mean, one support DP per class
-and one ``values`` and one ``bounds`` call. Each node keeps its own (child
+one count test, one containment product, one mean, one support DP for both
+classes (``_class_laws``; more than one only for a batch of many rows) and
+one ``values`` and one ``bounds`` call. Each node keeps its own (child
 count, child nodes) and its list is counted only when that node is
 expanded, so the pop order, the printed counts and θ's trace are those of
 evaluating one list per expansion. This rests on three facts.
@@ -56,8 +57,10 @@ is popped; a node that passes now but is cut later only wastes its list.
 The children of a batch hold rows of one copy of its rows above the floor,
 or of the batch product itself when the floor drops none, so the nodes
 waiting on the stack pin no dropped row; the roots hold views of the store.
-A kept candidate holds a copy of its row; only the kept features get
-support laws, at export.
+A kept candidate holds a copy of its row. The search drops every support
+law once the batch's values and bounds are read, and export computes none:
+the mined features share their rows, and the first read of a feature's
+law computes the laws of them all, in one ``_class_laws`` call.
 
 A search reads its dataset through the dataset's edge table
 (``graphs._EdgeTable``), built once per dataset and shared with every
@@ -77,12 +80,12 @@ changed, so it advances by whole child lists.
 
 A feature's expected frequency, support laws, measure value and bound do not
 depend on the rows that share its batch: the mean is taken row by row, the
-support DP's skipping of a graph whose column is zero in every row is an
-exact identity, and every row is contracted with the same arithmetic. The
-candidate list keeps the t best features under the total order (measure
-desc, fewer edges, lexicographically smaller edge list), so the mined set is
-a pure function of the set of evaluated subgraphs, independent of traversal,
-batching or insertion order.
+support DP's folding or skipping of a graph whose entry in a row is zero is
+an exact identity for that row, and every row is contracted with the same
+arithmetic. The candidate list keeps the t best features under the total
+order (measure desc, fewer edges, lexicographically smaller edge list), so
+the mined set is a pure function of the set of evaluated subgraphs,
+independent of traversal, batching or insertion order.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ import math
 from bisect import bisect_left, insort
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -135,19 +139,76 @@ class MiningConfig:
             raise ValueError("max_edges must be >= 1 when given")
 
 
+def _class_laws(
+    rows: np.ndarray, pos_cols: np.ndarray, neg_cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The laws of the positive and of the negative support count of each
+    containment row, of shapes (k, n_pos + 1) and (k, n_neg + 1).
+
+    Each chunk of rows makes one support DP call: its positive entries and
+    its negative entries are stacked, zero-padded to the larger class.
+    Folding a graph whose entry in a row is 0 leaves that row's law
+    unchanged, bit for bit, and every row still folds its own nonzero
+    entries in the same order, so each law is that of a call on its class
+    alone; the padded cells above a class's size stay 0 and are cut off.
+    The DP is row-stable, so chunking changes no bit either. A chunk holds
+    at most ``_CELLS`` // 8 stacked entries (or one row, when a row is
+    wider), a quarter of a one-class call on a full batch, so that folding
+    both classes at once does not raise the memory of a full batch.
+    """
+    n_pos, n_neg = len(pos_cols), len(neg_cols)
+    width = max(n_pos, n_neg)
+    pos, neg = np.empty((len(rows), n_pos + 1)), np.empty((len(rows), n_neg + 1))
+    step = max(1, _CELLS // (16 * width))
+    for start in range(0, len(rows), step):
+        part = rows[start : start + step]
+        k = len(part)
+        stacked = np.zeros((2 * k, width))
+        stacked[:k, :n_pos] = part[:, pos_cols]
+        stacked[k:, :n_neg] = part[:, neg_cols]
+        laws = _batched_support(stacked)
+        pos[start : start + k] = laws[:k, : n_pos + 1]
+        neg[start : start + k] = laws[k:, : n_neg + 1]
+    return pos, neg
+
+
+class _KeptLaws:
+    """The support laws of the kept features of one search, computed by one
+    ``_class_laws`` call when the first of them is read; their containment
+    rows are dropped then."""
+
+    def __init__(self, rows: np.ndarray, pos_cols: np.ndarray, neg_cols: np.ndarray) -> None:
+        self.rows: np.ndarray | None = rows
+        self.cols = (pos_cols, neg_cols)
+
+    @cached_property
+    def laws(self) -> tuple[np.ndarray, np.ndarray]:
+        rows, self.rows = self.rows, None
+        return _class_laws(rows, *self.cols)
+
+
 @dataclass(frozen=True)
 class MinedFeature:
     """One mined subgraph with its measure value and support summary.
 
     ``pos_dist`` and ``neg_dist`` are the exact laws of its positive and
-    negative support counts.
+    negative support counts. ``mine`` does not compute them: the first read
+    of any of them computes those of every feature of the result at once.
     """
 
     subgraph: Subgraph
     measure_value: float
     exp_freq: float
-    pos_dist: np.ndarray = field(compare=False)
-    neg_dist: np.ndarray = field(compare=False)
+    _laws: _KeptLaws = field(compare=False, repr=False)
+    _index: int = field(compare=False, repr=False)
+
+    @property
+    def pos_dist(self) -> np.ndarray:
+        return self._laws.laws[0][self._index]
+
+    @property
+    def neg_dist(self) -> np.ndarray:
+        return self._laws.laws[1][self._index]
 
     @property
     def joint(self) -> np.ndarray:
@@ -275,8 +336,9 @@ class _Node:
     contain: np.ndarray
     exp_freq: float
     # Computed only above min_sup, the bound only when ``mine`` runs a bounded
-    # measure; otherwise nan and +inf (never bound-pruned). Support laws are
-    # computed only for the kept nodes, at export (see ``_CandidateList``).
+    # measure; otherwise nan and +inf (never bound-pruned). A node holds no
+    # support laws: the kept features' are computed again when one is read
+    # (see ``_CandidateList.export``).
     value: float = math.nan
     bound: float = math.inf
     # (child count, child nodes last child first) once the child list has
@@ -288,7 +350,8 @@ class _CandidateList:
     """Bounded best-t buffer ordered by (measure desc, fewer edges, lex edges).
 
     A kept node holds a copy of its containment row, so it does not pin the
-    arrays of the batch that evaluated it; ``export`` computes its laws.
+    arrays of the batch that evaluated it; ``export`` hands the rows to the
+    features, whose laws are computed from them when first read.
     """
 
     def __init__(self, t: int) -> None:
@@ -311,16 +374,15 @@ class _CandidateList:
             self.entries.pop()
 
     def export(self, pos_cols: np.ndarray, neg_cols: np.ndarray) -> tuple[MinedFeature, ...]:
-        """The kept nodes, best first, with the laws of their ``pos_cols`` and
-        ``neg_cols`` entries: those the search computed, as the DP is row-stable."""
+        """The kept nodes, best first, as features whose laws are those of
+        their ``pos_cols`` and ``neg_cols`` entries: the laws the search
+        computed, as the DP is row-stable. No law is computed here."""
         if not self.entries:
             return ()
-        rows = np.array([node.contain for _, node in self.entries])
-        pos = _batched_support(rows[:, pos_cols])
-        neg = _batched_support(rows[:, neg_cols])
+        laws = _KeptLaws(np.array([node.contain for _, node in self.entries]), pos_cols, neg_cols)
         return tuple(
-            MinedFeature(node.sub, node.value, node.exp_freq, p, n)
-            for (_, node), p, n in zip(self.entries, pos, neg)
+            MinedFeature(node.sub, node.value, node.exp_freq, laws, i)
+            for i, (_, node) in enumerate(self.entries)
         )
 
 
@@ -395,8 +457,7 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
         live = np.flatnonzero(exp_freq > cfg.min_sup)
         if len(live):
             rows = contain if len(live) == len(contain) else contain[live]
-            pos = _batched_support(rows[:, pos_cols])
-            neg = _batched_support(rows[:, neg_cols])
+            pos, neg = _class_laws(rows, pos_cols, neg_cols)
             values = grids.values(pos, neg).tolist()
             bounds = grids.bounds(pos, neg).tolist() if bounded else [math.inf] * len(live)
         at = index.tolist()  # the child index of each row

@@ -99,21 +99,6 @@ def eval_score(spec: ScoreFunction, a: int, b: int, n_pos: int, n_neg: int) -> f
     return min(_raw_score(spec.kind, a, b, n_pos, n_neg), spec.cap)
 
 
-def upper_envelope(spec: ScoreFunction, a: int, b: int, n_pos: int, n_neg: int) -> float:
-    """Max score over all support pairs (a', b') with a' <= a and b' <= b.
-
-    Per-world supports of any supergraph are coordinate-wise below the
-    feature's own, so this dominates the score of every supergraph without
-    score-specific analysis. Capping is applied after the maximum.
-    """
-    _check_counts(a, b, n_pos, n_neg)
-    best = -math.inf
-    for aa in range(a + 1):
-        for bb in range(b + 1):
-            best = max(best, _raw_score(spec.kind, aa, bb, n_pos, n_neg))
-    return min(best, spec.cap)
-
-
 def _raw_grid(spec: ScoreFunction, n_pos: int, n_neg: int) -> np.ndarray:
     if n_pos < 1 or n_neg < 1:
         raise ValueError("both classes must be nonempty")

@@ -9,10 +9,12 @@ equal the miner's bit for bit; its traversal and bookkeeping are its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import random
+from bisect import insort
 from pathlib import Path
 
 import numpy as np
@@ -127,21 +129,31 @@ def extend_subgraph(
     return Subgraph(tuple(sorted(edges)))
 
 
+@functools.lru_cache(maxsize=8)
+def _incident_edges(universe) -> dict[int, list[tuple[int, int]]]:
+    """Each node of ``universe``'s edges, with the edges that touch it."""
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for e in universe.edges:
+        for n in e:
+            incident.setdefault(n, []).append(e)
+    return incident
+
+
 def reference_children(parent: Subgraph, universe) -> list[Subgraph]:
     """Children by definition: each incident edge e, ascending, whose
     extension P+e has canonical parent P."""
-    nodes = parent.nodes
+    incident = _incident_edges(universe)
+    near = {e for n in parent.nodes for e in incident.get(n, ())}
     out = []
-    for e in sorted(universe.edges):
-        if e in parent.edges or (e[0] not in nodes and e[1] not in nodes):
-            continue
-        cand = Subgraph(tuple(sorted(parent.edges + (e,))))
+    for e in sorted(near.difference(parent.edges)):
+        # P+e is connected, as e touches the connected P; a child is validated
+        cand = Subgraph._trusted(tuple(sorted(parent.edges + (e,))))
         if canonical_parent(cand) == parent:
-            out.append(cand)
+            out.append(Subgraph(cand.edges))
     return out
 
 
-def eager_search(dataset: Dataset, cfg, bounded: bool = True) -> tuple:
+def eager_search(dataset: Dataset, cfg, bounded: bool = True, laws: dict | None = None) -> tuple:
     """Reference traversal that builds every child and counts a child list
     when it pushes it; with ``bounded`` it prunes by the bound of a bounded
     measure, as ``mine`` does.
@@ -151,7 +163,9 @@ def eager_search(dataset: Dataset, cfg, bounded: bool = True) -> tuple:
     and bound come from the library kernel applied to that row alone, so they
     equal the miner's bit for bit. A node at or below min_sup is dropped when
     popped. Returns (features as (edges, value) pairs, nodes_evaluated,
-    frequency_pruned, bound_pruned, theta_trace).
+    frequency_pruned, bound_pruned, theta_trace). A ``laws`` dict receives
+    the bytes of the (positive, negative) support laws of every node above
+    min_sup, under its edges; each class has its own DP call.
     """
     pos = [i for i, y in enumerate(dataset.labels) if y == 1]
     neg = [i for i, y in enumerate(dataset.labels) if y == -1]
@@ -176,9 +190,11 @@ def eager_search(dataset: Dataset, cfg, bounded: bool = True) -> tuple:
             continue
         p = _batched_support(contain[pos][None, :])
         n = _batched_support(contain[neg][None, :])
+        if laws is not None:
+            laws[sub.edges] = (p[0].tobytes(), n[0].tobytes())
         value = float(grids.values(p, n)[0])
-        kept.append(((-value, len(sub.edges), sub.edges), value))
-        kept = sorted(kept)[: cfg.t]
+        insort(kept, ((-value, len(sub.edges), sub.edges), value))
+        del kept[cfg.t :]
         new_theta = kept[-1][1] if len(kept) == cfg.t else -math.inf
         if new_theta != theta:
             theta = new_theta

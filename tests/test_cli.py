@@ -478,6 +478,11 @@ MINE_FLAGS = ("--top", "--min-sup", "--max-edges", "--phi", "--cap-epsilon")
 EVALUATE_FLAGS = MINE_FLAGS + ("--train-fraction", "--seed")
 
 
+def drawn(draw, usable, junk=FLAG_VALUES):
+    """A usable value three draws in four, else one of ``junk``."""
+    return draw(st.integers(0, 3).flatmap(lambda k: junk if k == 0 else st.sampled_from(usable)))
+
+
 @st.composite
 def flag_lines(draw):
     """A mine or evaluate command line with some of its flags drawn; each is
@@ -487,12 +492,28 @@ def flag_lines(draw):
     names = MINE_FLAGS if command == "mine" else EVALUATE_FLAGS
     argv = [command]
     for name in draw(st.lists(st.sampled_from(names), unique=True)):
-        usable = st.sampled_from(USABLE[name])
-        value = draw(st.integers(0, 3).flatmap(lambda k: FLAG_VALUES if k == 0 else usable))
-        argv.append(f"{name}={value}")
+        argv.append(f"{name}={drawn(draw, USABLE[name])}")
     if command == "evaluate":
         argv.append("--repeats=" + draw(st.sampled_from(["-1", "0", "1", "2", "x"])))
     return argv
+
+
+def run_generated(argv) -> tuple[int, str]:
+    """Run ``main(argv)``: it must exit 0 with nothing on stderr, or 1 or 2
+    with one line on stderr, starting ``error:``, and never warn. Returns
+    the exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    return code, out.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
@@ -500,17 +521,112 @@ def flag_lines(draw):
 def test_mine_and_evaluate_generated_flags(argv):
     """Any flag values give exit 0, 1 or 2, and a nonzero exit prints one
     line on stderr, starting ``error:``; no run warns."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([*argv, "--input", str(DATA_DIR / "fig2.json")])
-    assert [str(w.message) for w in caught] == []
-    assert code in (0, 1, 2)
+    code, out = run_generated([*argv, "--input", str(DATA_DIR / "fig2.json")])
     if code == 0:
-        assert out.getvalue() and err.getvalue() == ""
-    else:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert out
+
+
+# oracle-check, gen and stats: the inputs their flags may name, and junk for
+# their counts that is never a valid integer above 8, so that no example
+# runs long
+COUNT_JUNK = (
+    st.integers(-3, 8).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["nan", "inf", "-1e400", "-0", "0x10", "1_"])
+    | st.text(st.characters(blacklist_categories=("Nd",)), max_size=4)
+)
+INPUTS = ["fig2.json", "one-class.json", "no-edges.json", "no-graphs.json", "bad.json",
+          "missing.json", "."]
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    """A directory holding the files of ``INPUTS``, but for missing.json."""
+    path = tmp_path_factory.mktemp("inputs")
+    (path / "fig2.json").write_bytes((DATA_DIR / "fig2.json").read_bytes())
+    graph = ug.UncertainGraph(3, {(0, 1): 0.5})
+    (path / "one-class.json").write_bytes(ug.serialize_dataset(ug.Dataset(3, (graph,), (1,))))
+    empty = (ug.UncertainGraph(3, {}), ug.UncertainGraph(3, {}))
+    (path / "no-edges.json").write_bytes(ug.serialize_dataset(ug.Dataset(3, empty, (1, -1))))
+    (path / "no-graphs.json").write_text('{"num_nodes": 3, "graphs": []}')
+    (path / "bad.json").write_text('{"num_nodes": 3, "graphs": [')
+    return path
+
+
+@st.composite
+def oracle_lines(draw):
+    """An oracle-check command line, flags as --flag=value."""
+    usable = {
+        "--trials": (["1", "2", "3"], COUNT_JUNK),
+        "--max-worlds": (["1", "10", "1024", "1025"], COUNT_JUNK),
+        "--seed": (["0", "-1", "7", str(10**30)], FLAG_VALUES),
+        "--measure": (list(ug.MEASURE_KINDS), FLAG_VALUES),
+        "--score": (list(ug.SCORE_KINDS), FLAG_VALUES),
+        "--phi": (USABLE["--phi"], FLAG_VALUES),
+        "--cap-epsilon": (USABLE["--cap-epsilon"], FLAG_VALUES),
+    }
+    argv = ["oracle-check", "--input=" + drawn(draw, INPUTS[:1] * 4 + INPUTS[1:], st.text())]
+    names = draw(st.lists(st.sampled_from(sorted(usable)), unique=True))
+    for name in names:
+        values, junk = usable[name]
+        argv.append(f"{name}={drawn(draw, values, junk)}")
+    if "--trials" not in names:
+        argv.append("--trials=" + draw(st.sampled_from(["1", "2"])))  # the default is 100
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_lines())
+def test_oracle_check_generated_flags(inputs_dir, argv):
+    """oracle-check agrees with the oracle on every drawn flag set that it
+    runs; any flags give exit 0, 1 or 2, with one error line when not 0."""
+    with contextlib.chdir(inputs_dir):
+        code, out = run_generated(argv)
+    if code == 0:
+        assert out.endswith(" matched\n") or out.endswith(" matched (empty union graph)\n")
+
+
+@st.composite
+def gen_lines(draw):
+    """A gen command line, flags as --flag=value; the presets are the two
+    quick ones, and --out names a new file, a directory or a missing one."""
+    usable = {
+        "--seed": ["0", "7", str(10**30)],
+        "--planted-prob-pos": ["5e-324", "0.3", "1"],
+        "--planted-prob-neg": ["5e-324", "0.7", "1"],
+        "--out": ["gen.json", ".", "missing/gen.json"],
+    }
+    argv = ["gen"]
+    if draw(st.integers(0, 15)):  # the flag is required
+        argv.append("--preset=" + drawn(draw, ["fig2", "fig2", "hiv-like"]))
+    for name in draw(st.lists(st.sampled_from(sorted(usable)), unique=True)):
+        argv.append(f"{name}={drawn(draw, usable[name])}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(gen_lines())
+def test_gen_generated_flags(tmp_path_factory, argv):
+    """Any gen flags give exit 0, 1 or 2, with one error line when not 0;
+    a dataset it writes parses."""
+    out_dir = tmp_path_factory.mktemp("gen")
+    with contextlib.chdir(out_dir):
+        code, out = run_generated(argv)
+        if code == 0:
+            paths = [arg.partition("=")[2] for arg in argv if arg.startswith("--out=")]
+            written = Path(paths[-1]).read_bytes() if paths else out.encode()
+            assert len(ug.parse_dataset(written)) in (4, 50)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(INPUTS) | st.text())
+def test_stats_generated_input(inputs_dir, name):
+    """stats on any --input gives exit 0 with one JSON object, or 1 or 2
+    with one error line."""
+    with contextlib.chdir(inputs_dir):
+        code, out = run_generated(["stats", f"--input={name}"])
+    if code == 0:
+        assert set(json.loads(out)) >= {"n_graphs", "n_pos", "n_neg", "empty"}
 
 
 class TestEvaluateCommand:

@@ -4,9 +4,12 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ugmine as ug
 import ugmine.miner as miner
@@ -778,6 +781,101 @@ class TestBatchedSupport:
             assert counter.count == k * m_folded * (m_folded + 1)
 
 
+# entries of containment rows: certain, subnormal, absent and uniform
+LAW_ENTRIES = st.sampled_from([0.0, 1.0, 5e-324]) | st.floats(0.0, 1.0)
+
+
+class TestClassLaws:
+    """``_class_laws`` stacks both classes into one support DP call per
+    chunk of rows, and its laws are bit for bit those of one
+    ``_batched_support`` call per class."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_per_class_calls(self, data):
+        n_pos, n_neg = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        n = n_pos + n_neg
+        k = data.draw(st.integers(0, 9))
+        row = st.lists(LAW_ENTRIES, min_size=n, max_size=n)
+        rows = np.array(data.draw(st.lists(row, min_size=k, max_size=k)), dtype=float)
+        rows = rows.reshape(k, n)
+        zero = data.draw(st.lists(st.integers(0, max(k - 1, 0)), max_size=k))
+        rows[sorted(set(zero))] = 0.0
+        cols = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+        pos_cols, neg_cols = cols[:n_pos], cols[n_pos:]
+        # chunks of 1, 2 or 3 rows, so that batches straddle chunk boundaries,
+        # or one chunk; a chunk has _CELLS // (16 * width) rows
+        chunk = data.draw(st.sampled_from([1, 2, 3, 10**6]))
+        calls = []
+
+        def spy(probs, counter=None):
+            calls.append(len(probs))
+            return _batched_support(probs, counter)
+
+        with (
+            mock.patch.object(miner, "_CELLS", chunk * 16 * max(n_pos, n_neg)),
+            mock.patch.object(miner, "_batched_support", spy),
+        ):
+            pos, neg = miner._class_laws(rows, pos_cols, neg_cols)
+        assert calls == [2 * len(rows[i : i + chunk]) for i in range(0, k, chunk)]
+        for got, class_cols in ((pos, pos_cols), (neg, neg_cols)):
+            want = _batched_support(rows[:, class_cols])
+            assert got.flags.c_contiguous and got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_law_computed_until_read(self, monkeypatch):
+        """``mine`` and ``evaluate`` compute no law at export; the first read
+        of a feature's law computes every kept feature's, in one DP call, as
+        ``eager_search`` does with one call per class."""
+        log = []  # ("dp", rows) per call; "export" and "exported" around each export
+        real_laws, real_export = miner._class_laws, miner._CandidateList.export
+
+        def spy(contain, pos_cols, neg_cols):
+            log.append(("dp", len(contain)))
+            return real_laws(contain, pos_cols, neg_cols)
+
+        def export(self, pos_cols, neg_cols):
+            log.append("export")
+            out = real_export(self, pos_cols, neg_cols)
+            log.append("exported")
+            return out
+
+        monkeypatch.setattr(miner, "_class_laws", spy)
+        monkeypatch.setattr(miner._CandidateList, "export", export)
+        rng = random.Random(97)
+        read = 0
+        for _ in range(6):
+            ds = make_random_dataset(
+                rng, n_graphs=rng.randint(4, 8), num_nodes=4, max_edges=4, prob_lo=0.2
+            )
+            for cfg in all_configs(t=4, min_sup=0.1):
+                log.clear()
+                result = ug.mine(ds, cfg)
+                assert log[-2:] == ["export", "exported"]
+                searched = len(log)
+                laws = {}
+                features, *_ = eager_search(ds, cfg, laws=laws)
+                assert [(f.subgraph.edges, f.measure_value) for f in result.features] == features
+                for f in result.features:
+                    got = (f.pos_dist.tobytes(), f.neg_dist.tobytes())
+                    assert got == laws[f.subgraph.edges]
+                    assert f.joint.tobytes() == np.outer(f.pos_dist, f.neg_dist).tobytes()
+                read_calls = [("dp", len(result.features))] if result.features else []
+                assert log[searched:] == read_calls
+                read += bool(result.features)
+        assert read > 50
+
+        # evaluate mines every split, each search ending in its export, and
+        # reads no law
+        ds = ug.parse_dataset((DATA_DIR / "fig2.json").read_bytes())
+        log.clear()
+        ug.evaluate(ds, simple_cfg(t=3, min_sup=0.1), repeats=3, train_fraction=0.75, seed=1)
+        ends = [i for i, entry in enumerate(log) if entry == "exported"]
+        assert len(ends) == 3 and ends[-1] == len(log) - 1
+        assert all(log[i - 1] == "export" for i in ends)
+
+
 class TestFrequencyGate:
     @staticmethod
     def datasets(seed, count):
@@ -789,31 +887,31 @@ class TestFrequencyGate:
 
     def test_dp_sees_only_frequent_rows(self, monkeypatch):
         rows = []
-        real = miner._batched_support
+        real = miner._class_laws
 
-        def spy(probs, counter=None):
-            rows.append(probs.copy())
-            return real(probs, counter)
+        def spy(contain, pos_cols, neg_cols):
+            rows.append(contain.copy())
+            return real(contain, pos_cols, neg_cols)
 
-        monkeypatch.setattr(miner, "_batched_support", spy)
+        monkeypatch.setattr(miner, "_class_laws", spy)
         for ds in self.datasets(31, 8):
             for cfg in all_configs(min_sup=0.2):
                 for run in (ug.mine, ug.mine_exhaustive):
                     rows.clear()
                     result = run(ds, cfg)
-                    # calls come in (positive, negative) pairs over the same rows;
-                    # the last is the export's, one row per kept feature
-                    pairs = list(zip(rows[::2], rows[1::2]))
-                    search = pairs
+                    # one call per batch; export makes none until a law is read,
+                    # and then one, with a row per kept feature
+                    search = list(rows)
                     if result.features:
-                        *search, (exported, _) = pairs
+                        result.features[-1].neg_dist
+                        *_, exported = rows
+                        assert len(rows) == len(search) + 1
                         assert len(exported) == len(result.features)
                     if run is ug.mine:
                         frequent = result.stats.nodes_evaluated - result.stats.frequency_pruned
-                        assert sum(len(p) for p, _ in search) == frequent
-                    for p, n in pairs:
-                        freq = (p.sum(axis=1) + n.sum(axis=1)) / len(ds)
-                        assert np.all(freq > cfg.min_sup - 1e-12)
+                        assert sum(len(r) for r in search) == frequent
+                    for r in rows:
+                        assert np.all(r.mean(axis=1) > cfg.min_sup - 1e-12)
 
     def test_kept_joints_match_oracle(self):
         for ds in self.datasets(41, 6):

@@ -68,8 +68,9 @@ def test_deep_search_metrics_match_stats(tmp_path):
     subprocess.run(command, env=env, check=True, capture_output=True)
     traced = json.loads(trace.read_text())
     assert set(traced["absent"]) <= {"envelope_table"}
-    # one children call per child list, two support DP calls per batch:
-    # the batches hold ten lists or more on average
+    # one children call per child list, and one support DP call per batch
+    # (per chunk of rows in a large batch; export makes none): the batches
+    # hold five lists or more on average
     totals = traced["totals"]
     assert totals["children"]["calls"] >= 10 * totals["support_dp"]["calls"] / 2
     values = _read(trace, env)

@@ -7,9 +7,9 @@ L2-regularized logistic regression trained by full-batch gradient descent,
 error rate and positive-class F1 aggregated over repeats.
 
 ``evaluate`` takes each split's training and test parts with
-``Dataset.subset``. The full dataset's edge table (``graphs._EdgeTable``)
-is built once, when the first split is taken, and every subset slices it by
-row, so no split walks the edge dicts again; the score grid of the shared
+``Dataset.subset``. Every subset slices the full dataset's edge table
+(``graphs._EdgeTable``) by row; ``parse_dataset`` fills that table as it
+parses, so no split reads a graph's edge dict. The score grid of the shared
 (n_pos, n_neg) is memoized by ``scores.score_grid``. ``featurize`` reads its
 columns from the same table.
 

@@ -3,6 +3,13 @@
 All graphs in a dataset share one node set {0, ..., num_nodes-1}; node labels
 are the indices themselves. Because labels are unique, a subgraph has at most
 one embedding in any graph, so containment reduces to edge-set inclusion.
+
+A dataset's edges are held once, in one flat table (``_EdgeTable``), which is
+what mining, evaluation and featurizing read. ``parse_dataset`` decodes each
+graph's edge list straight into arrays, checks them with a few vectorized
+tests, and fills the table from those arrays; a graph it returns holds no
+edge dict until its ``edges`` is first read (by the oracle, by
+``serialize_dataset`` or by ``containment_probability``).
 """
 
 from __future__ import annotations
@@ -42,7 +49,13 @@ class UncertainGraph:
     """Graph whose edges exist independently with probability in (0, 1].
 
     ``edges`` maps canonical edges to existence probabilities. The mapping is
-    copied at construction and must not be mutated afterwards.
+    copied at construction and must not be mutated afterwards. Endpoints must
+    be ``int`` and probabilities ``int`` or ``float``, as in the JSON format;
+    a bool is neither.
+
+    A graph returned by ``parse_dataset`` holds no mapping at first: its
+    ``edges`` is built from the graph's row of the dataset's edge table when
+    first read, with the edges in the order the input listed them.
     """
 
     num_nodes: int
@@ -50,20 +63,42 @@ class UncertainGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", dict(self.edges))
+        if isinstance(self.num_nodes, bool):
+            raise ValueError("num_nodes must be an integer")
         if self.num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
+        num_nodes = self.num_nodes
         for e, p in self.edges.items():
-            _check_edge(e, self.num_nodes, "uncertain graph")
-            if not (0.0 < p <= 1.0) or math.isnan(p):
+            u, v = e
+            # exact type tests: bool subclasses int, but serializes as true/false
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge {e!r}: endpoints must be integers")
+            if not (0 <= u < v < num_nodes):
+                raise ValueError(
+                    f"uncertain graph: edge ({u}, {v}) not canonical for {num_nodes} nodes"
+                )
+            if type(p) is not float and (not isinstance(p, (int, float)) or isinstance(p, bool)):
+                raise ValueError(f"edge {e}: probability must be a number, got {p!r}")
+            # NaN fails the first comparison
+            if not (0.0 < p <= 1.0):
                 raise ValueError(f"edge {e}: probability {p!r} out of range (0, 1]")
 
     @classmethod
-    def _trusted(cls, num_nodes: int, edges: dict[Edge, float]) -> "UncertainGraph":
-        """Take ownership of ``edges``, already checked as canonical and in range."""
+    def _row_of(cls, num_nodes: int, table: _EdgeTable, row: int) -> "UncertainGraph":
+        """Graph ``row`` of ``table``, whose entries are already checked."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "num_nodes", num_nodes)
-        object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "_row", (table, row))
         return graph
+
+    def __getattr__(self, name: str):
+        # reached only for an unset attribute: a parsed graph's first ``edges`` read
+        source = self.__dict__.get("_row")
+        if name != "edges" or source is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = source[0].graph_edges(source[1])
+        object.__setattr__(self, "edges", edges)
+        return edges
 
 
 @dataclass(frozen=True)
@@ -101,13 +136,18 @@ class CertainGraph:
         return sorted({columns.edges[j] for n in nodes for j in columns.incident[n].tolist()} - own)
 
 
-def _endpoints(edges: list[Edge]) -> np.ndarray:
-    """The endpoints of ``edges``, one row per edge; Python ints past the machine range."""
+def _node_array(nodes: Sequence[int]) -> np.ndarray:
+    """``nodes`` as an intp array; an object array of Python ints if one is past
+    the machine range."""
     try:
-        flat = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges))
-    except OverflowError:  # node labels past the machine integer range
-        flat = np.array(list(itertools.chain.from_iterable(edges)), dtype=object)
-    return flat.reshape(-1, 2)
+        return np.array(nodes, dtype=np.intp)
+    except OverflowError:
+        return np.array(nodes, dtype=object)
+
+
+def _endpoints(edges: list[Edge]) -> np.ndarray:
+    """The endpoints of ``edges``, one row per edge."""
+    return _node_array(list(itertools.chain.from_iterable(edges))).reshape(-1, 2)
 
 
 class EdgeColumns:
@@ -219,9 +259,14 @@ class Dataset:
             raise ValueError("labels and graphs must have equal length")
         if len(self.ids) != len(self.graphs):
             raise ValueError("ids and graphs must have equal length")
+        if isinstance(self.num_nodes, bool):
+            raise ValueError("num_nodes must be an integer")
         for i, y in enumerate(self.labels):
-            if y not in (1, -1):
+            if isinstance(y, bool) or y not in (1, -1):
                 raise ValueError(f"graph {i}: label must be +1 or -1, got {y!r}")
+        for i, gid in enumerate(self.ids):
+            if not isinstance(gid, str):
+                raise ValueError(f"graph {i}: id must be a string, got {gid!r}")
         for i, g in enumerate(self.graphs):
             if g.num_nodes != self.num_nodes:
                 raise ValueError(
@@ -259,9 +304,12 @@ class Dataset:
     def _edge_table(self) -> tuple[_EdgeTable, np.ndarray]:
         """The edge table this dataset reads, and the table row of each of its graphs.
 
-        Built on first use; a dataset made by ``subset`` shares its parent's.
+        ``parse_dataset`` fills it as it parses, and a dataset made by
+        ``subset`` shares its parent's. A dataset made from ``UncertainGraph``
+        objects builds it on first use, from their edge dicts.
         """
-        return _EdgeTable(self.graphs), np.arange(len(self.graphs))
+        sizes = [len(g.edges) for g in self.graphs]
+        return _EdgeTable(*_flatten([g.edges for g in self.graphs]), sizes), np.arange(len(sizes))
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """The graphs at ``indices``, in that order, with their labels and ids.
@@ -288,26 +336,57 @@ class _Selection(NamedTuple):
     probs: np.ndarray
 
 
+# the largest base b for which every key lo * b + hi with 0 <= lo, hi < b fits int64
+_KEY_BASE_MAX = math.isqrt(2**63 - 1)
+
+
+def _edge_order(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """An order that sorts the edges (lo[k], hi[k]) ascending, for endpoints
+    0 <= lo, hi; copies of one edge come out in any order.
+
+    Sorts one int64 key per edge when no key can overflow, and otherwise
+    lexsorts, which compares the endpoints themselves.
+    """
+    base = int(hi.max()) + 1 if len(hi) else 0
+    if lo.dtype != object and base <= _KEY_BASE_MAX:
+        return np.argsort(lo * base + hi)
+    return np.lexsort((hi, lo))
+
+
 class _EdgeTable:
     """Every edge entry of a list of graphs, as flat arrays.
 
     ``edges`` holds the union edges, ascending, and ``ends`` their endpoints,
-    one row per edge. Graph r owns entries ``offsets[r]:offsets[r + 1]``;
-    entry k is the edge ``edges[cols[k]]`` with probability ``probs[k]``.
+    one row per edge. Graph r owns entries ``offsets[r]:offsets[r + 1]``, in
+    the order its edges were listed; entry k is the edge ``edges[cols[k]]``
+    with probability ``probs[k]``.
+
+    The one builder takes every entry's canonical endpoints (``lo`` < ``hi``)
+    and probability, graph after graph, and the number of entries of each
+    graph. ``parse_dataset`` passes the arrays it decoded; ``Dataset`` passes
+    its graphs' edge dicts, flattened by ``_flatten``.
     """
 
-    def __init__(self, graphs: Sequence[UncertainGraph]) -> None:
-        self.edges: list[Edge] = sorted(set().union(*(g.edges for g in graphs)))
-        self.ends = _endpoints(self.edges)
-        column = dict(zip(self.edges, range(len(self.edges))))
-        sizes = [len(g.edges) for g in graphs]
-        self.offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
+    def __init__(
+        self, lo: np.ndarray, hi: np.ndarray, probs: np.ndarray, sizes: Sequence[int]
+    ) -> None:
+        order = _edge_order(lo, hi)
+        lo, hi = lo[order], hi[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        self.cols = np.empty(len(order), dtype=np.int32)
+        self.cols[order] = np.cumsum(new, dtype=np.int32) - 1
+        self.ends = np.stack([lo[new], hi[new]], axis=1)
+        self.edges: list[Edge] = list(zip(lo[new].tolist(), hi[new].tolist()))
+        self.probs = probs
+        self.offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
         np.cumsum(sizes, out=self.offsets[1:])
-        total = int(self.offsets[-1])
-        self.cols = np.fromiter((column[e] for g in graphs for e in g.edges), np.int32, total)
-        self.probs = np.fromiter(
-            itertools.chain.from_iterable(g.edges.values() for g in graphs), np.float64, total
-        )
+
+    def graph_edges(self, row: int) -> dict[Edge, float]:
+        """Graph ``row``'s edges and their probabilities, in its entries' order."""
+        start, stop = self.offsets[row], self.offsets[row + 1]
+        keys = map(self.edges.__getitem__, self.cols[start:stop].tolist())
+        return dict(zip(keys, self.probs[start:stop].tolist()))
 
     def select(self, rows: np.ndarray) -> _Selection:
         """The entries of the graphs ``rows``.
@@ -439,14 +518,130 @@ def _probability_matrix(
     return matrix
 
 
+def _flatten(
+    edge_dicts: Sequence[Mapping[Edge, float]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical endpoints and probabilities of the entries of ``edge_dicts``,
+    one after another, as ``_EdgeTable`` takes them."""
+    keys = [e for edges in edge_dicts for e in edges]
+    probs = itertools.chain.from_iterable(edges.values() for edges in edge_dicts)
+    return (
+        _node_array([u for u, _ in keys]),
+        _node_array([v for _, v in keys]),
+        np.fromiter(probs, np.float64, len(keys)),
+    )
+
+
+class _EdgeList:
+    """A graph's ``edges`` as decoded: a list of well-typed [u, v, p] entries,
+    held as arrays of their endpoints and probabilities.
+
+    ``raw_ps`` keeps the decoded probabilities when some are ints, so that
+    ``entries`` gives back the very list the JSON text held.
+    """
+
+    __slots__ = ("us", "vs", "ps", "raw_ps")
+
+    def __init__(self, us: np.ndarray, vs: np.ndarray, ps: np.ndarray, raw_ps) -> None:
+        self.us, self.vs, self.ps, self.raw_ps = us, vs, ps, raw_ps
+
+    def entries(self) -> list[list]:
+        """The decoded list of [u, v, p] entries."""
+        ps = self.ps.tolist() if self.raw_ps is None else self.raw_ps
+        return [list(e) for e in zip(self.us.tolist(), self.vs.tolist(), ps)]
+
+    def __repr__(self) -> str:
+        return repr(self.entries())
+
+    def canonical(self, num_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The entries' canonical endpoints and probabilities, or None when
+        some entry breaks a rule of ``_check_edges``."""
+        lo, hi = np.minimum(self.us, self.vs), np.maximum(self.us, self.vs)
+        # NaN fails both probability tests
+        ok = (0 <= lo) & (lo < hi) & (hi < num_nodes) & (0.0 < self.ps) & (self.ps <= 1.0)
+        if not ok.all():
+            return None
+        order = _edge_order(lo, hi)
+        a, b = lo[order], hi[order]
+        if ((a[1:] == a[:-1]) & (b[1:] == b[:-1])).any():
+            return None
+        return lo, hi, self.ps
+
+
+_DECODED_TYPES = (np.intp, np.intp, np.float64)
+
+
+def _decode_edges(obj: dict) -> dict:
+    """``json.loads`` object hook: hold an ``edges`` list of well-typed
+    [u, v, p] entries as an ``_EdgeList``, so that no graph's decoded lists
+    outlive its object.
+
+    Well-typed means ``int`` endpoints within int64 and an ``int`` or
+    ``float`` probability within the float range; any other ``edges`` value
+    is left as decoded, for ``_check_edges`` to judge.
+    """
+    edges = obj.get("edges")
+    if type(edges) is not list or not edges:
+        return obj
+    if set(map(type, edges)) != {list} or set(map(len, edges)) != {3}:
+        return obj
+    us, vs, ps = zip(*edges)
+    types = set(map(type, ps))
+    if set(map(type, us)) == set(map(type, vs)) == {int} and types <= {int, float}:
+        n = len(edges)
+        try:
+            arrays = [np.fromiter(c, t, n) for c, t in zip((us, vs, ps), _DECODED_TYPES)]
+        except OverflowError:
+            return obj
+        obj["edges"] = _EdgeList(*arrays, None if types == {float} else ps)
+    return obj
+
+
+def _check_edges(i: int, raw_edges: list, num_nodes: int) -> dict[Edge, float]:
+    """Graph ``i``'s edges, checked entry by entry; raises DatasetFormatError
+    at the first entry that breaks a rule."""
+    edges: dict[Edge, float] = {}
+    for j, entry in enumerate(raw_edges):
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise DatasetFormatError(f"graph {i}, edge {j}: expected [u, v, p]")
+        u, v, p = entry
+        if type(u) is not int or type(v) is not int:
+            raise DatasetFormatError(f"graph {i}, edge {j}: endpoints must be integers")
+        if u == v:
+            raise DatasetFormatError(f"graph {i}, edge {j}: self-loop ({u}, {v})")
+        if not isinstance(p, (int, float)) or isinstance(p, bool):
+            raise DatasetFormatError(f"graph {i}, edge {j}: probability must be a number")
+        try:
+            p = float(p)
+        except OverflowError:  # an integer beyond the float range
+            p = math.inf if p > 0 else -math.inf
+        if not (0.0 < p <= 1.0) or math.isnan(p):
+            raise DatasetFormatError(f"graph {i}, edge {j}: probability {p} out of range (0, 1]")
+        e = (u, v) if u < v else (v, u)
+        if not (0 <= e[0] and e[1] < num_nodes):
+            raise DatasetFormatError(
+                f"graph {i}, edge {j}: endpoints ({u}, {v}) outside [0, {num_nodes})"
+            )
+        if e in edges:
+            raise DatasetFormatError(f"graph {i}, edge {j}: duplicate edge ({e[0]}, {e[1]})")
+        edges[e] = p
+    return edges
+
+
 def parse_dataset(text: bytes | str) -> Dataset:
-    """Parse the JSON dataset format; raises DatasetFormatError with context."""
+    """Parse the JSON dataset format; raises DatasetFormatError with context.
+
+    Graphs are read in order. A graph whose edge list was decoded into
+    arrays and passes the vectorized checks goes straight into the edge
+    table; any other graph is checked entry by entry by ``_check_edges``,
+    which raises the error of its first bad entry.
+    """
     # ValueError covers bad UTF-8, bad JSON and an integer of more digits than
     # int() converts; RecursionError, JSON nested too deep
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        obj = json.loads(text)
+        obj = json.loads(text, object_hook=_decode_edges)
     except (ValueError, RecursionError) as exc:
         raise DatasetFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -459,11 +654,12 @@ def parse_dataset(text: bytes | str) -> Dataset:
     if not isinstance(raw_graphs, list):
         raise DatasetFormatError("graphs must be a list")
 
-    graphs: list[UncertainGraph] = []
+    # the entries of every graph, after those of no graph, which fix the dtypes
+    parts = [_flatten([])]
     labels: list[int] = []
     ids: list[str] = []
     for i in range(len(raw_graphs)):
-        # drop each raw entry once read, so the graphs built reuse its memory
+        # drop each raw entry once read, so its arrays are freed once copied
         item, raw_graphs[i] = raw_graphs[i], None
         if not isinstance(item, dict):
             raise DatasetFormatError(f"graph {i}: entry must be an object")
@@ -474,39 +670,25 @@ def parse_dataset(text: bytes | str) -> Dataset:
         if not isinstance(gid, str):
             raise DatasetFormatError(f"graph {i}: id must be a string")
         raw_edges = item.get("edges")
-        if not isinstance(raw_edges, list):
+        if type(raw_edges) is _EdgeList:
+            part = raw_edges.canonical(num_nodes)
+            if part is None:  # some entry breaks a rule: raise its error
+                part = _flatten([_check_edges(i, raw_edges.entries(), num_nodes)])
+        elif isinstance(raw_edges, list):
+            part = _flatten([_check_edges(i, raw_edges, num_nodes)])
+        else:
             raise DatasetFormatError(f"graph {i}: edges must be a list")
-        edges: dict[Edge, float] = {}
-        for j, entry in enumerate(raw_edges):
-            if not (isinstance(entry, list) and len(entry) == 3):
-                raise DatasetFormatError(f"graph {i}, edge {j}: expected [u, v, p]")
-            u, v, p = entry
-            if type(u) is not int or type(v) is not int:
-                raise DatasetFormatError(f"graph {i}, edge {j}: endpoints must be integers")
-            if u == v:
-                raise DatasetFormatError(f"graph {i}, edge {j}: self-loop ({u}, {v})")
-            if not isinstance(p, (int, float)) or isinstance(p, bool):
-                raise DatasetFormatError(f"graph {i}, edge {j}: probability must be a number")
-            try:
-                p = float(p)
-            except OverflowError:  # an integer beyond the float range
-                p = math.inf if p > 0 else -math.inf
-            if not (0.0 < p <= 1.0) or math.isnan(p):
-                raise DatasetFormatError(
-                    f"graph {i}, edge {j}: probability {p} out of range (0, 1]"
-                )
-            e = (u, v) if u < v else (v, u)
-            if not (0 <= e[0] and e[1] < num_nodes):
-                raise DatasetFormatError(
-                    f"graph {i}, edge {j}: endpoints ({u}, {v}) outside [0, {num_nodes})"
-                )
-            if e in edges:
-                raise DatasetFormatError(f"graph {i}, edge {j}: duplicate edge ({e[0]}, {e[1]})")
-            edges[e] = p
-        graphs.append(UncertainGraph._trusted(num_nodes, edges))
+        parts.append(part)
         labels.append(label)
         ids.append(gid)
-    return Dataset(num_nodes, tuple(graphs), tuple(labels), tuple(ids))
+    lo, hi, probs = map(np.concatenate, zip(*parts))
+    sizes = [len(part[0]) for part in parts[1:]]
+    del parts
+    table = _EdgeTable(lo, hi, probs, sizes)
+    graphs = tuple(UncertainGraph._row_of(num_nodes, table, r) for r in range(len(sizes)))
+    dataset = Dataset(num_nodes, graphs, tuple(labels), tuple(ids))
+    dataset.__dict__["_edge_table"] = (table, np.arange(len(graphs)))
+    return dataset
 
 
 def serialize_dataset(dataset: Dataset) -> bytes:

@@ -63,8 +63,8 @@ the mined features share their rows, and the first read of a feature's
 law computes the laws of them all, in one ``_class_laws`` call.
 
 A search reads its dataset through the dataset's edge table
-(``graphs._EdgeTable``), built once per dataset and shared with every
-``Dataset.subset`` of it. ``_search`` selects the table entries of the
+(``graphs._EdgeTable``), which ``parse_dataset`` fills as it parses and
+every ``Dataset.subset`` shares; no graph's edge dict is read. ``_search`` selects the table entries of the
 dataset's graphs once; ``union_graph`` takes its edges and their endpoints
 from that selection, and the probability rows are one numpy scatter of the
 entries of their edges. A shallow search so holds no edge-by-graph matrix

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Dataset, Edge, Subgraph, UncertainGraph
+from .graphs import Dataset, Edge, Subgraph, UncertainGraph, _select
 
 PRESETS = ("fig2", "adhd-like", "adni-like", "hiv-like")
 
@@ -154,19 +154,22 @@ class DatasetStats:
 
 
 def dataset_stats(dataset: Dataset) -> DatasetStats:
-    """Exact per-dataset means: graph counts, edge counts, edge probabilities."""
+    """Exact per-dataset means: graph counts, edge counts, edge probabilities.
+
+    Read from the dataset's edge table; the probabilities are summed graph by
+    graph, each in the order its edges were listed.
+    """
     n = len(dataset)
     if n == 0:
         return DatasetStats(0, 0, 0, dataset.num_nodes, 0.0, 0.0, empty=True)
-    edge_counts = [len(g.edges) for g in dataset.graphs]
-    all_probs = [p for g in dataset.graphs for p in g.edges.values()]
+    all_probs = _select(dataset).probs.tolist()
     mean_prob = sum(all_probs) / len(all_probs) if all_probs else 0.0
     return DatasetStats(
         n_graphs=n,
         n_pos=dataset.n_pos,
         n_neg=dataset.n_neg,
         num_nodes=dataset.num_nodes,
-        mean_edges=sum(edge_counts) / n,
+        mean_edges=len(all_probs) / n,
         mean_edge_prob=mean_prob,
         empty=False,
     )

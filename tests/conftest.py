@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from ugmine import (
     Dataset,
+    DatasetFormatError,
     Subgraph,
     UncertainGraph,
     canonical_parent,
@@ -258,3 +259,90 @@ JSON_VALUES = st.recursive(
 def mostly(sane):
     """Values of ``sane``, but in one draw of sixteen any JSON value."""
     return st.integers(0, 15).flatmap(lambda k: JSON_VALUES if k == 0 else sane)
+
+
+# The dataset parser as it was before parsing went straight into the edge
+# table: a per-edge loop over the whole decoded tree that builds one edge dict
+# per graph, and the edge table built from those dicts. The differential test
+# of ``parse_dataset`` compares against these.
+
+
+def reference_parse(text: bytes | str) -> Dataset:
+    """Parse the JSON dataset format entry by entry; raises DatasetFormatError."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DatasetFormatError(f"malformed JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DatasetFormatError("top level must be a JSON object")
+    num_nodes = obj.get("num_nodes")
+    if type(num_nodes) is not int or num_nodes < 0:
+        raise DatasetFormatError("num_nodes must be a nonnegative integer")
+    raw_graphs = obj.get("graphs")
+    if not isinstance(raw_graphs, list):
+        raise DatasetFormatError("graphs must be a list")
+    graphs, labels, ids = [], [], []
+    for i, item in enumerate(raw_graphs):
+        if not isinstance(item, dict):
+            raise DatasetFormatError(f"graph {i}: entry must be an object")
+        label = item.get("label")
+        if isinstance(label, bool) or label not in (1, -1):
+            raise DatasetFormatError(f"graph {i}: label must be 1 or -1, got {label!r}")
+        gid = item.get("id", f"g{i}")
+        if not isinstance(gid, str):
+            raise DatasetFormatError(f"graph {i}: id must be a string")
+        raw_edges = item.get("edges")
+        if not isinstance(raw_edges, list):
+            raise DatasetFormatError(f"graph {i}: edges must be a list")
+        edges = {}
+        for j, entry in enumerate(raw_edges):
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise DatasetFormatError(f"graph {i}, edge {j}: expected [u, v, p]")
+            u, v, p = entry
+            if type(u) is not int or type(v) is not int:
+                raise DatasetFormatError(f"graph {i}, edge {j}: endpoints must be integers")
+            if u == v:
+                raise DatasetFormatError(f"graph {i}, edge {j}: self-loop ({u}, {v})")
+            if not isinstance(p, (int, float)) or isinstance(p, bool):
+                raise DatasetFormatError(f"graph {i}, edge {j}: probability must be a number")
+            try:
+                p = float(p)
+            except OverflowError:
+                p = math.inf if p > 0 else -math.inf
+            if not (0.0 < p <= 1.0) or math.isnan(p):
+                raise DatasetFormatError(
+                    f"graph {i}, edge {j}: probability {p} out of range (0, 1]"
+                )
+            e = (u, v) if u < v else (v, u)
+            if not (0 <= e[0] and e[1] < num_nodes):
+                raise DatasetFormatError(
+                    f"graph {i}, edge {j}: endpoints ({u}, {v}) outside [0, {num_nodes})"
+                )
+            if e in edges:
+                raise DatasetFormatError(f"graph {i}, edge {j}: duplicate edge ({e[0]}, {e[1]})")
+            edges[e] = p
+        graphs.append(UncertainGraph(num_nodes, edges))
+        labels.append(label)
+        ids.append(gid)
+    return Dataset(num_nodes, tuple(graphs), tuple(labels), tuple(ids))
+
+
+def reference_table(graphs) -> dict[str, object]:
+    """The edge table of ``graphs``, built from their edge dicts: the union
+    edges, their endpoints, and each entry's column and probability, graph by
+    graph in dict order."""
+    edges = sorted(set().union(*(g.edges for g in graphs)))
+    flat = list(itertools.chain.from_iterable(edges))
+    try:
+        ends = np.fromiter(flat, np.intp, len(flat)).reshape(-1, 2)
+    except OverflowError:
+        ends = np.array(flat, dtype=object).reshape(-1, 2)
+    column = {e: j for j, e in enumerate(edges)}
+    offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
+    np.cumsum([len(g.edges) for g in graphs], out=offsets[1:])
+    total = int(offsets[-1])
+    cols = np.fromiter((column[e] for g in graphs for e in g.edges), np.int32, total)
+    probs = np.fromiter((p for g in graphs for p in g.edges.values()), np.float64, total)
+    return {"edges": edges, "ends": ends, "offsets": offsets, "cols": cols, "probs": probs}

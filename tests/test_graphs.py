@@ -1,18 +1,22 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ugmine as ug
 from conftest import (
     DATA_DIR,
+    JSON_VALUES,
     all_pairs,
     make_random_dataset,
     mostly,
     random_connected_subgraph,
+    reference_parse,
+    reference_table,
     to_json,
 )
 from ugmine.graphs import EdgeColumns, _EdgeTable, _probability_matrix
@@ -117,6 +121,257 @@ def test_parse_generated_json(value, as_bytes):
     except ug.DatasetFormatError:
         return
     assert isinstance(ds, ug.Dataset)
+
+
+def rarely(sane, odd):
+    """Values of ``sane``, but in one draw of eight one of ``odd``."""
+    return st.integers(0, 7).flatmap(lambda k: odd if k == 0 else sane)
+
+
+# node labels and probabilities at and past the int64 and float ranges
+BIG_INTS = [2**63 - 1, 2**63, 2**64, -(2**63) - 1, 2**70]
+ENDPOINTS = rarely(
+    st.integers(-1, 6), st.sampled_from([True, False, 1.0, "2", None, *BIG_INTS])
+)
+PROBABILITIES = rarely(
+    st.floats(0.01, 1.0) | st.sampled_from([1, 1e-320]),
+    st.sampled_from(
+        [0, 0.0, -0.0, 2, 1.5, -0.25, True, False, "0.5", None, math.nan, math.inf, -math.inf]
+        + [2**64, 2**1100, -(2**1100)]
+    ),
+)
+# an ``edges`` key where no graph's edges belong
+ODD_EDGES = st.fixed_dictionaries({"edges": st.just([[0, 1, 0.5], [1, 2, 1]])})
+NOISY_ENTRIES = rarely(
+    st.tuples(ENDPOINTS, ENDPOINTS, PROBABILITIES).map(list),
+    st.sampled_from([[0, 1], [0, 1, 0.5, 0], "e", [[0, 1, 0.5]]])
+    | ODD_EDGES
+    | st.tuples(ENDPOINTS, ENDPOINTS, ODD_EDGES).map(list),
+)
+
+
+@st.composite
+def valid_entries(draw):
+    """Distinct edges in either orientation, over small labels or labels past
+    int64, with probabilities in (0, 1]."""
+    nodes = draw(st.sampled_from([range(6), [0, 1, 2**64, 2**64 + 1, 2**70]]))
+    pairs = [(u, v) for u in nodes for v in nodes if u < v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6))
+    entries = []
+    for u, v in chosen:
+        p = draw(st.floats(0.001, 1.0) | st.just(1))
+        entries.append([v, u, p] if draw(st.booleans()) else [u, v, p])
+    return entries
+
+
+@st.composite
+def edge_lists(draw):
+    """Valid or noisy edge lists; some repeat an entry, as written or reversed."""
+    entries = draw(valid_entries() | st.lists(NOISY_ENTRIES, max_size=6))
+    if entries and draw(st.booleans()):
+        e = draw(st.sampled_from(entries))
+        if isinstance(e, list) and len(e) == 3:
+            e = [e[1], e[0], e[2]] if draw(st.booleans()) else list(e)
+        entries.insert(draw(st.integers(0, len(entries))), e)
+    return entries
+
+
+LABELS = rarely(
+    st.sampled_from([1, -1]),
+    st.sampled_from([1.0, True, 2, None]) | st.fixed_dictionaries({"edges": edge_lists()}),
+)
+GRAPHS = rarely(
+    st.fixed_dictionaries(
+        {"label": LABELS, "edges": rarely(edge_lists(), JSON_VALUES | ODD_EDGES)},
+        optional={"id": rarely(st.text(max_size=2), st.integers(0, 3))},
+    ),
+    JSON_VALUES,
+)
+VALID_GRAPHS = st.fixed_dictionaries(
+    {"label": st.sampled_from([1, -1]), "edges": valid_entries()},
+    optional={"id": st.text(max_size=2)},
+)
+# half the documents are valid when their labels fit num_nodes, and half are noisy
+DOCUMENTS = st.fixed_dictionaries(
+    {"num_nodes": st.sampled_from([6, 2**70]), "graphs": st.lists(VALID_GRAPHS, max_size=4)}
+) | st.fixed_dictionaries(
+    {
+        "num_nodes": rarely(
+            st.sampled_from([6, 2**64, 2**70]) | st.integers(0, 7),
+            st.sampled_from([-1, True, 7.0, None]),
+        ),
+        "graphs": st.lists(GRAPHS, max_size=4),
+    },
+    optional={"edges": edge_lists()},
+)
+
+
+def table_fields(table) -> dict[str, object]:
+    return {k: getattr(table, k) for k in ("edges", "ends", "offsets", "cols", "probs")}
+
+
+def assert_same_parse(text: str) -> None:
+    """``parse_dataset`` returns the dataset ``reference_parse`` returns, with
+    the same edge table, or raises the same message."""
+    try:
+        want = reference_parse(text)
+    except ug.DatasetFormatError as exc:
+        with pytest.raises(ug.DatasetFormatError) as got:
+            ug.parse_dataset(text)
+        assert str(got.value) == str(exc)
+        return
+    got = ug.parse_dataset(text)
+    table, rows = got._edge_table
+    assert rows.tolist() == list(range(len(want)))
+    ref = reference_table(want.graphs)
+    for name, value in table_fields(table).items():
+        if name == "edges":
+            assert value == ref[name]
+        elif value.dtype == object:
+            assert ref[name].dtype == object and value.tolist() == ref[name].tolist()
+        else:
+            assert value.dtype == ref[name].dtype and value.shape == ref[name].shape
+            assert value.tobytes() == ref[name].tobytes()
+    assert (got.num_nodes, repr(got.labels), got.ids) == (want.num_nodes, repr(want.labels), want.ids)
+    for g, w in zip(got.graphs, want.graphs, strict=True):
+        assert repr(list(g.edges.items())) == repr(list(w.edges.items()))
+    assert got == want
+
+
+ERROR_ORDER_EXAMPLES = [
+    # graph 1's entry error is of an earlier kind than graph 0's duplicate
+    {"num_nodes": 4, "graphs": [
+        {"label": 1, "edges": [[0, 1, 0.5], [1, 0, 0.5]]},
+        {"label": -1, "edges": [[0, 1]]},
+    ]},
+    # in one graph, an out-of-range edge before a self-loop
+    {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 7, 0.5], [1, 1, 0.5]]}]},
+    # a NaN probability after a valid entry, with an int probability
+    {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 1, 1], [1, 2, math.nan]]}]},
+    # a label holding a well-typed edge list, with an int probability
+    {"num_nodes": 3, "graphs": [{"label": {"edges": [[0, 1, 1], [1, 2, 0.5]]}, "edges": []}]},
+    # a graph of labels past int64, then a graph with an endpoint out of range
+    {"num_nodes": 2**70, "graphs": [
+        {"label": 1, "edges": [[2**64, 0, 0.5]]},
+        {"label": 1, "edges": [[0, 2**70, 0.5]]},
+    ]},
+    {"num_nodes": 3, "graphs": [], "edges": [[0, 1, 0.5]]},
+    # bools and floats where ints or numbers belong, in otherwise valid graphs
+    {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 2, 0.5], [True, False, 0.5]]}]},
+    {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 2, 0.5], [0, 1, True]]}]},
+    {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 2, 0.5], [0.0, 1.0, 0.5]]}]},
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCUMENTS)
+def test_parse_matches_reference(value):
+    """Valid or not, every generated document parses as the entry-by-entry
+    reference parses it."""
+    assert_same_parse(to_json(value))
+
+
+for value in ERROR_ORDER_EXAMPLES:
+    test_parse_matches_reference = example(value)(test_parse_matches_reference)
+
+
+class TestParseIntoTable:
+    def test_live_memory_of_parsed_adhd(self):
+        """A parsed dataset is its edge table: adhd-like seed 0 (97 555 edge
+        entries) holds well under the 12 MB its edge dicts took."""
+        data = ug.serialize_dataset(ug.make_preset("adhd-like", seed=0))
+        tracemalloc.start()
+        try:
+            ds = ug.parse_dataset(data)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 200
+        assert live < 3e6
+
+    def test_mine_evaluate_featurize_build_no_edge_dict(self, monkeypatch):
+        built = []
+        real = _EdgeTable.graph_edges
+
+        def spy(table, row):
+            built.append(row)
+            return real(table, row)
+
+        monkeypatch.setattr(_EdgeTable, "graph_edges", spy)
+        ds = ug.parse_dataset(ug.serialize_dataset(ug.make_preset("hiv-like", seed=0)))
+        cfg = ug.MiningConfig(
+            t=5, min_sup=0.2, measure=ug.MeasureSpec("exp"), score=ug.ScoreFunction("conf")
+        )
+        features = [f.subgraph for f in ug.mine(ds, cfg).features]
+        ug.evaluate(ds, cfg, repeats=2)
+        ug.featurize(ds, features)
+        ug.featurize(ds.subset([3, 1]), features)
+        ug.dataset_stats(ds)
+        assert built == []
+        assert not any("edges" in g.__dict__ for g in ds.graphs)
+        # a read builds the graph's dict once, and keeps it
+        assert ds.graphs[2].edges is ds.graphs[2].edges
+        assert built == [2]
+
+    @pytest.mark.parametrize("preset", ug.PRESETS)
+    def test_serialize_parse_round_trip_bytes(self, preset):
+        data = ug.serialize_dataset(ug.make_preset(preset, seed=0))
+        assert ug.serialize_dataset(ug.parse_dataset(data)) == data
+
+    def test_preset_tables_equal_reference(self):
+        for preset in ug.PRESETS:
+            assert_same_parse(ug.serialize_dataset(ug.make_preset(preset, seed=1)).decode())
+
+
+class TestConstructorsMatchParser:
+    """The constructors reject what ``parse_dataset`` rejects, so that
+    ``serialize_dataset`` never writes a dataset it cannot read back."""
+
+    def test_bool_label_rejected(self):
+        with pytest.raises(ValueError, match="graph 0: label must be"):
+            ug.Dataset(2, (ug.UncertainGraph(2, {}),), (True,))
+
+    def test_bool_probability_rejected(self):
+        with pytest.raises(ValueError, match="probability must be a number"):
+            ug.UncertainGraph(2, {(0, 1): True})
+
+    def test_bool_endpoints_rejected(self):
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            ug.UncertainGraph(2, {(False, True): 0.5})
+
+    def test_bool_num_nodes_and_id_rejected(self):
+        with pytest.raises(ValueError, match="num_nodes"):
+            ug.UncertainGraph(True, {})
+        with pytest.raises(ValueError, match="num_nodes"):
+            ug.Dataset(True, (), ())
+        with pytest.raises(ValueError, match="id must be a string"):
+            ug.Dataset(2, (ug.UncertainGraph(2, {}),), (1,), (0,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_constructed_datasets_round_trip(data):
+    """A dataset the constructors accept serializes to text that parses back
+    to an equal dataset."""
+    num_nodes = data.draw(st.sampled_from([0, 2, 4, True]))
+    endpoint = st.integers(0, 3) | st.booleans() | st.just(1.0)
+    probability = st.floats(0.001, 1.0) | st.sampled_from([1, 0.5, True, False, "0.5"])
+    label = st.sampled_from([1, -1, 1.0, -1.0, True, False, 2])
+    gid = st.text(max_size=2) | st.integers(0, 2)
+    n = data.draw(st.integers(0, 3))
+    try:
+        graphs = tuple(
+            ug.UncertainGraph(
+                num_nodes,
+                data.draw(st.dictionaries(st.tuples(endpoint, endpoint), probability, max_size=3)),
+            )
+            for _ in range(n)
+        )
+        labels = tuple(data.draw(label) for _ in range(n))
+        ds = ug.Dataset(num_nodes, graphs, labels, tuple(data.draw(gid) for _ in range(n)))
+    except ValueError:
+        return
+    assert ug.parse_dataset(ug.serialize_dataset(ds)) == ds
 
 
 class TestContains:

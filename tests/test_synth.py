@@ -3,7 +3,7 @@ import math
 import pytest
 
 import ugmine as ug
-from conftest import DATA_DIR
+from conftest import DATA_DIR, reference_parse
 
 PLANTED = ug.Subgraph.from_edges([(0, 1), (1, 2), (2, 3)])
 
@@ -126,3 +126,17 @@ class TestStats:
         assert stats.empty
         assert stats.n_graphs == 0
         assert stats.mean_edges == 0.0
+
+    def test_table_means_equal_dict_means(self):
+        """Read from the edge table, the means are bit for bit those summed
+        over the graphs' edge dicts, on parsed datasets and their subsets."""
+        for preset in ug.PRESETS:
+            data = ug.serialize_dataset(ug.make_preset(preset, seed=2))
+            parsed, made = ug.parse_dataset(data), reference_parse(data)
+            for ds, ref in ((parsed, made), (parsed.subset([3, 0, 2]), made.subset([3, 0, 2]))):
+                probs = [p for g in ref.graphs for p in g.edges.values()]
+                stats = ug.dataset_stats(ds)
+                assert stats.mean_edge_prob.hex() == (sum(probs) / len(probs)).hex()
+                assert stats.mean_edges.hex() == (len(probs) / len(ref)).hex()
+        empty = ug.Dataset(2, (ug.UncertainGraph(2, {}),), (1,))
+        assert ug.dataset_stats(empty).mean_edge_prob == 0.0

@@ -7,11 +7,11 @@ L2-regularized logistic regression trained by full-batch gradient descent,
 error rate and positive-class F1 aggregated over repeats.
 
 ``evaluate`` takes each split's training and test parts with
-``Dataset.subset``. Every subset slices the full dataset's edge table
-(``graphs._EdgeTable``) by row; ``parse_dataset`` fills that table as it
-parses, so no split reads a graph's edge dict. The score grid of the shared
-(n_pos, n_neg) is memoized by ``scores.score_grid``. ``featurize`` reads its
-columns from the same table.
+``Dataset.subset``, which shares the full dataset's edge table
+(``graphs._EdgeTable``); so no split reads a graph's edge dict. The score
+grid of the shared (n_pos, n_neg) is memoized by ``scores.score_grid``.
+``featurize`` reads its features' edge rows from the same table and
+multiplies them as ``mine`` does: a mined feature's column has mean ``exp_freq``.
 
 The splits are mined first. Those with features are then trained together:
 one stacked gradient descent per shape of training matrix, at most

@@ -344,11 +344,10 @@ class _MeasureGrids:
 def score_distribution(joint: np.ndarray, spec: ScoreFunction) -> ScoreDistribution:
     """Distribution of the score induced by a joint support-pair law."""
     grid = score_grid(spec, joint.shape[0] - 1, joint.shape[1] - 1)
-    grids = _MeasureGrids(MeasureSpec(MEDIAN), grid)
-    masses = grids.group_masses(joint)
-    return ScoreDistribution(
-        tuple((float(s), float(p)) for s, p in zip(grids.group_scores, masses) if p != 0.0)
-    )
+    scores, ids = _score_groups(grid.tobytes())
+    masses = np.bincount(ids, weights=joint.ravel(), minlength=len(scores))
+    atoms = zip(scores.tolist(), masses.tolist())
+    return ScoreDistribution(tuple((s, p) for s, p in atoms if p != 0.0))
 
 
 def _one_row(
@@ -399,7 +398,7 @@ def expected_frequency(g: Subgraph, dataset: Dataset) -> float:
 
     Anti-monotone under subgraph extension, hence a sound frequency-pruning
     bound for the miner; it is a mined feature's ``exp_freq`` bit for bit
-    when the feature has at most two edges (the same product, in order).
+    (the same product, in the same order).
     """
     if len(dataset) == 0:
         raise ValueError("expected frequency needs at least one graph")

@@ -9,7 +9,8 @@ what mining, evaluation and featurizing read. ``parse_dataset`` decodes each
 graph's edge list straight into arrays, checks them with a few vectorized
 tests, and fills the table from those arrays; a graph it returns holds no
 edge dict until its ``edges`` is first read (by the oracle, by
-``serialize_dataset`` or by ``containment_probability``).
+``serialize_dataset`` or by ``containment_probability``). Other modules
+read the table only through this module's functions of a dataset.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -235,8 +236,34 @@ class Subgraph:
     def nodes(self) -> frozenset[int]:
         return frozenset(n for e in self.edges for n in e)
 
+    @cached_property
+    def _chain(self) -> tuple[Edge, ...]:
+        """The edges in the order the reverse-search tree adds them; built once."""
+        parent = canonical_parent(self)
+        if parent is None:
+            return self.edges
+        return parent._chain + tuple(set(self.edges) - set(parent.edges))
+
     def __len__(self) -> int:
         return len(self.edges)
+
+
+def canonical_parent(sub: Subgraph) -> Subgraph | None:
+    """Parent of ``sub`` in the reverse-search tree; None for single edges.
+
+    The parent drops the lexicographically largest edge whose removal leaves
+    the edge-induced node set connected. Such an edge always exists: a
+    degree-1 node's edge is removable, and a graph without degree-1 nodes
+    contains a cycle.
+    """
+    edges = sub.edges
+    if len(edges) == 1:
+        return None
+    for i in range(len(edges) - 1, -1, -1):
+        rest = edges[:i] + edges[i + 1 :]
+        if _connected(rest):
+            return Subgraph._trusted(rest)
+    raise AssertionError(f"no removable edge in connected subgraph {edges}")
 
 
 @dataclass(frozen=True)
@@ -262,7 +289,8 @@ class Dataset:
         if isinstance(self.num_nodes, bool):
             raise ValueError("num_nodes must be an integer")
         for i, y in enumerate(self.labels):
-            if isinstance(y, bool) or y not in (1, -1):
+            # exact type tests: a bool or a numpy integer is no JSON number
+            if type(y) not in (int, float) or y not in (1, -1):
                 raise ValueError(f"graph {i}: label must be +1 or -1, got {y!r}")
         for i, gid in enumerate(self.ids):
             if not isinstance(gid, str):
@@ -305,8 +333,9 @@ class Dataset:
         """The edge table this dataset reads, and the table row of each of its graphs.
 
         ``parse_dataset`` fills it as it parses, and a dataset made by
-        ``subset`` shares its parent's. A dataset made from ``UncertainGraph``
-        objects builds it on first use, from their edge dicts.
+        ``subset`` shares its parent's, so the rows may repeat and come in any
+        order. A dataset made from ``UncertainGraph`` objects builds it on
+        first use, from their edge dicts.
         """
         sizes = [len(g.edges) for g in self.graphs]
         return _EdgeTable(*_flatten([g.edges for g in self.graphs]), sizes), np.arange(len(sizes))
@@ -314,7 +343,7 @@ class Dataset:
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """The graphs at ``indices``, in that order, with their labels and ids.
 
-        The subset slices this dataset's edge table instead of building its own.
+        The subset shares this dataset's edge table instead of building its own.
         """
         sub = Dataset(
             self.num_nodes,
@@ -327,13 +356,12 @@ class Dataset:
         return sub
 
 
-class _Selection(NamedTuple):
-    """The entries of some graphs of an edge table; see ``_EdgeTable.select``."""
-
-    union: np.ndarray
-    local: np.ndarray
-    owner: np.ndarray
-    probs: np.ndarray
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the ranges ``starts[k]:stops[k]``, one range after
+    another, and the k of each."""
+    sizes = stops - starts
+    k = np.repeat(np.arange(len(sizes)), sizes)
+    return np.arange(len(k)) + (starts - np.cumsum(sizes) + sizes)[k], k
 
 
 # the largest base b for which every key lo * b + hi with 0 <= lo, hi < b fits int64
@@ -360,6 +388,10 @@ class _EdgeTable:
     one row per edge. Graph r owns entries ``offsets[r]:offsets[r + 1]``, in
     the order its edges were listed; entry k is the edge ``edges[cols[k]]``
     with probability ``probs[k]``.
+
+    ``_edge_counts`` and ``_edge_rows`` read it through one per-edge index,
+    built on first use (``_by_column``); ``graph_edges`` and
+    ``_listed_probabilities`` read a graph's entries in listed order.
 
     The one builder takes every entry's canonical endpoints (``lo`` < ``hi``)
     and probability, graph after graph, and the number of entries of each
@@ -388,41 +420,48 @@ class _EdgeTable:
         keys = map(self.edges.__getitem__, self.cols[start:stop].tolist())
         return dict(zip(keys, self.probs[start:stop].tolist()))
 
-    def select(self, rows: np.ndarray) -> _Selection:
-        """The entries of the graphs ``rows``.
-
-        Holds the table columns of their union edges, ascending, and per
-        entry its column among those, the position of its graph in ``rows``
-        and its probability.
-        """
-        starts = self.offsets[rows]
-        sizes = self.offsets[rows + 1] - starts
-        firsts = np.cumsum(sizes) - sizes
-        index = np.arange(int(sizes.sum())) + np.repeat(starts - firsts, sizes)
-        cols = self.cols[index]
-        used = np.zeros(len(self.edges), dtype=bool)
-        used[cols] = True
-        local = (np.cumsum(used, dtype=np.int32) - 1)[cols]
-        owner = np.repeat(np.arange(len(rows), dtype=np.int32), sizes)
-        return _Selection(np.flatnonzero(used), local, owner, self.probs[index])
-
     @cached_property
     def _by_column(self) -> tuple[np.ndarray, np.ndarray]:
-        """The entries ordered by column, and where the run of each column starts."""
+        """The entries ordered by column, then graph, and where the run of each
+        column starts; column ``len(edges)``, of no edge, has an empty run."""
         order = np.argsort(self.cols, kind="stable").astype(np.int32)
-        starts = np.zeros(len(self.edges) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.cols, minlength=len(self.edges)), out=starts[1:])
+        starts = np.zeros(len(self.edges) + 2, dtype=np.intp)
+        np.cumsum(np.bincount(self.cols, minlength=len(self.edges) + 1), out=starts[1:])
         return order, starts
 
-    def column(self, e: Edge, rows: np.ndarray) -> np.ndarray:
-        """Probability of edge ``e`` in each of the graphs ``rows``; 0 where absent."""
-        dense = np.zeros(len(self.offsets) - 1)
-        j = bisect_left(self.edges, e)
-        if j < len(self.edges) and self.edges[j] == e:
-            order, starts = self._by_column
-            entries = order[starts[j] : starts[j + 1]]
-            dense[np.searchsorted(self.offsets, entries, side="right") - 1] = self.probs[entries]
-        return dense[rows]
+
+def _edge_counts(dataset: Dataset) -> np.ndarray:
+    """For each edge of the dataset's edge table, how many of its graphs hold it."""
+    table, rows = dataset._edge_table
+    order, starts = table._by_column
+    # how often each table graph is among the dataset's; int32 halves the per-entry copy
+    copies = np.bincount(rows, minlength=len(table.offsets) - 1).astype(np.int32)
+    # every table edge has entries, so no run is empty
+    return np.add.reduceat(np.repeat(copies, np.diff(table.offsets))[order], starts[:-2])
+
+
+def _edge_rows(dataset: Dataset, cols: np.ndarray) -> np.ndarray:
+    """The probability of each table edge ``cols`` in each of the dataset's
+    graphs, one row per edge; 0 where the graph lacks the edge."""
+    table, rows = dataset._edge_table
+    order, starts = table._by_column
+    at, k = _ranges(starts[cols], starts[cols + 1])
+    entries = order[at]
+    # the positions in ``rows`` of table graph g are by_graph[first[g]:first[g + 1]]
+    by_graph = np.argsort(rows, kind="stable")
+    first = np.searchsorted(rows[by_graph], np.arange(len(table.offsets)))
+    graph = np.searchsorted(table.offsets, entries, side="right") - 1
+    at, e = _ranges(first[graph], first[graph + 1])
+    matrix = np.zeros((len(cols), len(rows)))
+    matrix[k[e], by_graph[at]] = table.probs[entries[e]]
+    return matrix
+
+
+def _listed_probabilities(dataset: Dataset) -> np.ndarray:
+    """The edge probabilities of the dataset's graphs, graph after graph,
+    each in the order its edges were listed."""
+    table, rows = dataset._edge_table
+    return table.probs[_ranges(table.offsets[rows], table.offsets[rows + 1])[0]]
 
 
 def _require_nodes(g: Subgraph, num_nodes: int) -> None:
@@ -441,11 +480,12 @@ def containment_probability(g: Subgraph, graph: UncertainGraph) -> float:
     """Probability that a world of ``graph`` contains ``g``.
 
     Equals the product of the edge probabilities of ``g`` when every edge is
-    present in ``graph``, and exactly 0 otherwise.
+    present in ``graph``, and exactly 0 otherwise. The product starts from
+    1.0 and takes the edges in the order ``mine`` multiplies them (``_chain``).
     """
     _require_nodes(g, graph.num_nodes)
     prod = 1.0
-    for e in g.edges:
+    for e in g._chain:
         p = graph.edges.get(e)
         if p is None:
             return 0.0
@@ -457,65 +497,55 @@ def _containment_matrix(dataset: Dataset, features: Sequence[Subgraph]) -> np.nd
     """Containment probabilities, one row per graph and one column per feature.
 
     Entry (i, k) is bit for bit ``containment_probability(features[k],
-    dataset.graphs[i])``: the edge columns of a feature are multiplied in
-    ascending edge order, starting from 1.0, and an absent edge's 0 makes
-    the product 0. The columns are read from the dataset's edge table.
+    dataset.graphs[i])``: a feature's edge rows, read from the dataset's edge
+    table, are multiplied in the order the reverse-search tree adds them,
+    starting from 1.0, and an absent edge's 0 makes the product 0.
     """
     if len(dataset):
         for f in features:
             _require_nodes(f, dataset.num_nodes)
-    table, rows = dataset._edge_table
-    columns: dict[Edge, np.ndarray] = {}
+    table = dataset._edge_table[0]
+    edges = sorted({e for f in features for e in f.edges})
+    at = [bisect_left(table.edges, e) for e in edges]
+    # an edge no graph holds reads the empty column len(table.edges)
+    cols = [j if table.edges[j : j + 1] == [e] else len(table.edges) for e, j in zip(edges, at)]
+    row = dict(zip(edges, _edge_rows(dataset, np.array(cols, dtype=np.intp))))
     matrix = np.empty((len(dataset), len(features)))
     for k, f in enumerate(features):
         prod = np.ones(len(dataset))
-        for e in f.edges:
-            if e not in columns:
-                columns[e] = table.column(e, rows)
-            prod *= columns[e]
+        for e in f._chain:
+            prod *= row[e]
         matrix[:, k] = prod
     return matrix
 
 
-def _select(dataset: Dataset) -> _Selection:
-    """The entries of the dataset's graphs in its edge table."""
-    table, rows = dataset._edge_table
-    return table.select(rows)
-
-
-def union_graph(dataset: Dataset, selection: _Selection | None = None) -> CertainGraph:
+def union_graph(dataset: Dataset, counts: np.ndarray | None = None) -> CertainGraph:
     """Certain graph holding every edge that appears in any graph of the dataset.
 
     This is the search universe for subgraph enumeration: an edge can occur in
-    a feature only if some graph assigns it nonzero probability. Its edges
-    are read from the dataset's edge table, already checked and ascending,
-    through ``selection`` when the caller has taken it with ``_select``.
+    a feature only if some graph assigns it nonzero probability. Its edges,
+    already checked and ascending, are the table edges some graph holds, by
+    ``counts`` (``_edge_counts``, computed here when not given).
     """
     table = dataset._edge_table[0]
-    union = (_select(dataset) if selection is None else selection).union
+    union = np.flatnonzero(_edge_counts(dataset) if counts is None else counts)
     edges = [table.edges[j] for j in union.tolist()]
     return CertainGraph._trusted(dataset.num_nodes, edges, table.ends[union])
 
 
 def _probability_matrix(
-    dataset: Dataset, edges: np.ndarray, selection: _Selection | None = None
+    dataset: Dataset, edges: np.ndarray, counts: np.ndarray | None = None
 ) -> np.ndarray:
     """Edge probabilities, one column per graph, 0 where the graph lacks the edge.
 
     ``edges`` holds distinct columns of ``union_graph(dataset)``, and the
     matrix has one row per listed column, in that order. A row is the same,
     bit for bit, whichever rows are built with it, so a search can densify
-    only the edges it may read. Built on each call, from ``selection`` when
-    given.
+    only the edges it may read. Built on each call, locating the union in
+    the edge table by ``counts`` when given.
     """
-    union, local, owner, probs = _select(dataset) if selection is None else selection
-    slot = np.full(len(union), -1, dtype=np.int32)
-    slot[edges] = np.arange(len(edges), dtype=np.int32)
-    local = slot[local]
-    keep = local >= 0
-    matrix = np.zeros((len(edges), len(dataset)))
-    matrix[local[keep], owner[keep]] = probs[keep]
-    return matrix
+    union = np.flatnonzero(_edge_counts(dataset) if counts is None else counts)
+    return _edge_rows(dataset, union[edges])
 
 
 def _flatten(

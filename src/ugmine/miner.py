@@ -64,13 +64,12 @@ law computes the laws of them all, in one ``_class_laws`` call.
 
 A search reads its dataset through the dataset's edge table
 (``graphs._EdgeTable``), which ``parse_dataset`` fills as it parses and
-every ``Dataset.subset`` shares; no graph's edge dict is read. ``_search`` selects the table entries of the
-dataset's graphs once; ``union_graph`` takes its edges and their endpoints
-from that selection, and the probability rows are one numpy scatter of the
-entries of their edges. A shallow search so holds no edge-by-graph matrix
-(3 of the 6670 edges of adhd-like seed 0 get rows at min_sup 0.2). The
-bitsets are read off the store's rows in one pass, after the root batch.
-The selection, the rows and the bitsets live only as long as the search.
+every ``Dataset.subset`` shares; no graph's edge dict is read. One count
+pass (``graphs._edge_counts``) gives ``union_graph`` and the store their
+edges, and only the store's rows are read: a shallow search holds no
+edge-by-graph matrix (3 of the 6670 edges of adhd-like seed 0 get rows at
+min_sup 0.2). The bitsets are read off the store's rows after the root
+batch; they and the rows live only as long as the search.
 
 ``SearchStats.nodes_evaluated`` counts every child of an expanded node,
 built or not, when its parent is expanded; a list evaluated ahead for a
@@ -106,8 +105,9 @@ from .graphs import (
     Edge,
     EdgeColumns,
     Subgraph,
+    _edge_counts,
     _probability_matrix,
-    _select,
+    canonical_parent,  # re-exported; graphs orders containment products by it
     union_graph,
 )
 from .graphs import _connected as _edges_connected
@@ -232,24 +232,6 @@ class SearchStats:
 class MiningResult:
     features: tuple[MinedFeature, ...]
     stats: SearchStats
-
-
-def canonical_parent(sub: Subgraph) -> Subgraph | None:
-    """Parent of ``sub`` in the reverse-search tree; None for single edges.
-
-    The parent drops the lexicographically largest edge whose removal leaves
-    the edge-induced node set connected. Such an edge always exists: a
-    degree-1 node's edge is removable, and a graph without degree-1 nodes
-    contains a cycle.
-    """
-    edges = sub.edges
-    if len(edges) == 1:
-        return None
-    for i in range(len(edges) - 1, -1, -1):
-        rest = edges[:i] + edges[i + 1 :]
-        if _edges_connected(rest):
-            return Subgraph._trusted(rest)
-    raise AssertionError(f"no removable edge in connected subgraph {edges}")
 
 
 def _threshold(columns: EdgeColumns, edges: tuple[Edge, ...], e: Edge) -> int:
@@ -415,20 +397,18 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
         raise ValueError("mining requires at least one graph of each class")
     stats = SearchStats()
     cands = _CandidateList(cfg.t)
-    selection = _select(dataset)
-    universe = union_graph(dataset, selection)
+    counts = _edge_counts(dataset)
+    universe = union_graph(dataset, counts)
     if not universe.edges:
         return MiningResult((), stats)
 
     n_graphs = len(dataset)
     n_edges = len(universe.edges)
     floor = cfg.min_sup if prune else -1.0  # -1, below every mean, keeps every row
-    # the edges nonzero, by count (one entry per graph), in more than floor of the graphs
-    counts = np.bincount(selection.local, minlength=n_edges)
-    dense = np.flatnonzero(counts / n_graphs > floor)
+    # the edges nonzero, by count (one per graph), in more than floor of the graphs
+    dense = np.flatnonzero(counts[counts > 0] / n_graphs > floor)
     # one row of per-graph containment probabilities per dense edge
-    probs = _probability_matrix(dataset, dense, selection)
-    del selection  # the walk reads only probs; free the entries before it
+    probs = _probability_matrix(dataset, dense, counts)
     # the store: the rows of the frequent roots
     frequent = np.flatnonzero(probs.mean(axis=1) > floor)
     if len(frequent) < len(dense):

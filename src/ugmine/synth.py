@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Dataset, Edge, Subgraph, UncertainGraph, _select
+from .graphs import Dataset, Edge, Subgraph, UncertainGraph, _listed_probabilities
 
 PRESETS = ("fig2", "adhd-like", "adni-like", "hiv-like")
 
@@ -162,7 +162,7 @@ def dataset_stats(dataset: Dataset) -> DatasetStats:
     n = len(dataset)
     if n == 0:
         return DatasetStats(0, 0, 0, dataset.num_nodes, 0.0, 0.0, empty=True)
-    all_probs = _select(dataset).probs.tolist()
+    all_probs = _listed_probabilities(dataset).tolist()
     mean_prob = sum(all_probs) / len(all_probs) if all_probs else 0.0
     return DatasetStats(
         n_graphs=n,

@@ -200,19 +200,27 @@ class TestExpectedFrequency:
             assert ug.expected_frequency(sup, ds) <= ug.expected_frequency(g, ds) + 1e-12
 
     def test_equals_mined_exp_freq(self):
-        """Up to two edges a feature's containment row is the ascending
-        product that ``featurize`` takes, so the means agree bit for bit."""
+        """``featurize`` multiplies a feature's edges in the order the
+        reverse-search tree adds them, as ``mine`` does, so at every size
+        the means and the support laws agree bit for bit. An ascending
+        product differs in the last ulp on one of the exp/conf features."""
         ds = ug.make_preset("hiv-like", seed=0)
-        checked = 0
-        for measure, score in [
-            (ug.MeasureSpec("exp"), ug.ScoreFunction("hsic")),
-            (ug.MeasureSpec("phi-pr", 1.0), ug.ScoreFunction("ratio")),
+        checked = large = 0
+        for measure, score, t in [
+            (ug.MeasureSpec("exp"), ug.ScoreFunction("hsic"), 100),
+            (ug.MeasureSpec("phi-pr", 1.0), ug.ScoreFunction("ratio"), 100),
+            (ug.MeasureSpec("exp"), ug.ScoreFunction("conf"), 3000),
         ]:
-            cfg = ug.MiningConfig(t=100, min_sup=0.05, measure=measure, score=score, max_edges=2)
+            cfg = ug.MiningConfig(t=t, min_sup=0.05, measure=measure, score=score, max_edges=4)
             for f in ug.mine(ds, cfg).features:
-                assert ug.expected_frequency(f.subgraph, ds).hex() == f.exp_freq.hex(), f.subgraph
+                g = f.subgraph
+                assert ug.expected_frequency(g, ds).hex() == f.exp_freq.hex(), g
+                assert ug.support_distribution(g, ds.pos).tobytes() == f.pos_dist.tobytes(), g
+                assert ug.support_distribution(g, ds.neg).tobytes() == f.neg_dist.tobytes(), g
                 checked += 1
-        assert checked == 200
+                large += len(g) >= 3
+        assert checked == 3200
+        assert large == 506
 
 
 class TestUpperBounds:

@@ -19,7 +19,15 @@ from conftest import (
     reference_table,
     to_json,
 )
-from ugmine.graphs import EdgeColumns, _EdgeTable, _probability_matrix
+from ugmine import graphs, miner
+from ugmine.graphs import (
+    EdgeColumns,
+    _edge_counts,
+    _edge_rows,
+    _EdgeTable,
+    _listed_probabilities,
+    _probability_matrix,
+)
 
 
 def minimal_text(edges, label=1, num_nodes=3):
@@ -331,6 +339,12 @@ class TestConstructorsMatchParser:
         with pytest.raises(ValueError, match="graph 0: label must be"):
             ug.Dataset(2, (ug.UncertainGraph(2, {}),), (True,))
 
+    def test_numpy_label_rejected(self):
+        """A numpy integer equals 1 but is no JSON number."""
+        for y in (np.int64(1), np.int32(-1)):
+            with pytest.raises(ValueError, match="graph 0: label must be"):
+                ug.Dataset(2, (ug.UncertainGraph(2, {(0, 1): 0.5}),), (y,))
+
     def test_bool_probability_rejected(self):
         with pytest.raises(ValueError, match="probability must be a number"):
             ug.UncertainGraph(2, {(0, 1): True})
@@ -356,7 +370,7 @@ def test_constructed_datasets_round_trip(data):
     num_nodes = data.draw(st.sampled_from([0, 2, 4, True]))
     endpoint = st.integers(0, 3) | st.booleans() | st.just(1.0)
     probability = st.floats(0.001, 1.0) | st.sampled_from([1, 0.5, True, False, "0.5"])
-    label = st.sampled_from([1, -1, 1.0, -1.0, True, False, 2])
+    label = st.sampled_from([1, -1, 1.0, -1.0, True, False, 2, np.int64(1), np.int32(-1)])
     gid = st.text(max_size=2) | st.integers(0, 2)
     n = data.draw(st.integers(0, 3))
     try:
@@ -621,16 +635,50 @@ def union_of(ds: ug.Dataset) -> list:
     return sorted({e for g in ds.graphs for e in g.edges})
 
 
-class TestOneSelectionPerSearch:
-    def test_one_select_per_mine(self, monkeypatch):
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_edge_reads_match_edge_dicts(data):
+    """The count pass, the rows read and the listed probabilities equal a
+    reference built from the graphs' edge dicts: on datasets built from
+    dicts and parsed, with graphs that have no edges and endpoints past
+    int64, and on subsets given as repeated, unordered and empty index lists.
+    The column past the last table edge reads as an edge no graph holds."""
+    nodes = [0, 1, 2, 3] + data.draw(st.sampled_from([[], [2**64, 2**70]]))
+    num_nodes = nodes[-1] + 1
+    edge = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda e: e[0] < e[1])
+    dicts = data.draw(st.lists(st.dictionaries(edge, st.floats(0.01, 1.0), max_size=5), max_size=5))
+    built = tuple(ug.UncertainGraph(num_nodes, g) for g in dicts)
+    made = ug.Dataset(num_nodes, built, (1,) * len(built))
+    picks = st.lists(st.integers(0, len(built) - 1), max_size=7) if built else st.just([])
+    indices = data.draw(picks)
+    for ds in (made, ug.parse_dataset(ug.serialize_dataset(made))):
+        for d in (ds, ds.subset(indices)):
+            table = d._edge_table[0]
+            held = [sum(e in g.edges for g in d.graphs) for e in table.edges]
+            assert _edge_counts(d).tolist() == held
+            cols = data.draw(st.lists(st.integers(0, len(table.edges)), max_size=6))
+            edges = [table.edges[j] if j < len(table.edges) else None for j in cols]
+            want = np.zeros((len(cols), len(d)))
+            for k, e in enumerate(edges):
+                for i, g in enumerate(d.graphs):
+                    want[k, i] = g.edges.get(e, 0.0)
+            got = _edge_rows(d, np.array(cols, dtype=np.intp))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            listed = [p for g in d.graphs for p in g.edges.values()]
+            assert _listed_probabilities(d).tolist() == listed
+
+
+class TestOneCountPassPerSearch:
+    def test_one_count_pass_per_mine(self, monkeypatch):
+        """A search counts the edges of its graphs once; ``featurize`` counts none."""
         calls = []
-        real = _EdgeTable.select
 
-        def spy(table, rows):
-            calls.append(len(rows))
-            return real(table, rows)
+        def spy(dataset):
+            calls.append(len(dataset))
+            return _edge_counts(dataset)
 
-        monkeypatch.setattr(_EdgeTable, "select", spy)
+        monkeypatch.setattr(graphs, "_edge_counts", spy)
+        monkeypatch.setattr(miner, "_edge_counts", spy)
         cfg = ug.MiningConfig(
             t=5, min_sup=0.2, measure=ug.MeasureSpec("exp"), score=ug.ScoreFunction("conf")
         )

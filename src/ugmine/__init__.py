@@ -30,6 +30,8 @@ from .graphs import (
     Edge,
     Subgraph,
     UncertainGraph,
+    canonical_parent,
+    children,
     containment_probability,
     contains,
     make_edge,
@@ -42,8 +44,6 @@ from .miner import (
     MiningConfig,
     MiningResult,
     SearchStats,
-    canonical_parent,
-    children,
     mine,
     mine_exhaustive,
 )

@@ -56,6 +56,8 @@ class MeasureSpec:
             raise ValueError(f"unknown measure kind {self.kind!r}; expected one of {MEASURE_KINDS}")
         if self.kind == PHI_PROBABILITY and self.phi is None:
             raise ValueError("phi threshold required for the phi-probability measure")
+        if self.phi is not None and math.isnan(self.phi):  # an infinite phi is valid
+            raise ValueError("phi threshold must not be NaN")
         if self.kind != PHI_PROBABILITY and self.phi is not None:
             raise ValueError(f"phi threshold only applies to phi-probability, not {self.kind!r}")
 
@@ -299,8 +301,10 @@ class _MeasureGrids:
         """Measure of each product law outer(pos[i], neg[i])."""
         if self.kind in (MEDIAN, MODE):
             pick = median_from_masses if self.kind == MEDIAN else mode_from_masses
-            masses = (self.group_masses(np.outer(p, n)) for p, n in zip(pos, neg))
-            return np.array([pick(self.group_scores, m) for m in masses])
+            # the pickers walk Python floats: numpy scalars cost a boxing per step
+            scores = self.group_scores.tolist()
+            masses = (self.group_masses(np.outer(p, n)).tolist() for p, n in zip(pos, neg))
+            return np.array([pick(scores, m) for m in masses])
         return self._linear(pos, neg, self.weights)
 
     def bounds(self, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:

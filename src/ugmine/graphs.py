@@ -11,6 +11,14 @@ tests, and fills the table from those arrays; a graph it returns holds no
 edge dict until its ``edges`` is first read (by the oracle, by
 ``serialize_dataset`` or by ``containment_probability``). Other modules
 read the table only through this module's functions of a dataset.
+
+This module also owns the reverse-search tree (Avis & Fukuda, 1996) that
+``mine`` walks and that orders ``featurize``'s products: a subgraph's
+canonical parent drops its largest edge whose removal keeps it connected
+(``_last_removable``). Children are the universe edges at the parent,
+ascending, whose column exceeds a threshold found once per attach point by
+the same scan (``_threshold``); a one-edge parent's own edge is every
+extension's threshold, as both its ends are leaves.
 """
 
 from __future__ import annotations
@@ -18,10 +26,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +46,17 @@ def make_edge(u: int, v: int) -> Edge:
     if u == v:
         raise ValueError(f"self-loop edge ({u}, {v})")
     return (u, v) if u < v else (v, u)
+
+
+def _node_count(num_nodes) -> int:
+    """``num_nodes`` as an ``int``, if it is a nonnegative integer (a bool is not)."""
+    try:
+        count = -1 if isinstance(num_nodes, bool) else operator.index(num_nodes)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError("num_nodes must be a nonnegative integer")
+    return count
 
 
 def _check_edge(e: Edge, num_nodes: int, where: str) -> None:
@@ -64,11 +84,8 @@ class UncertainGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", dict(self.edges))
-        if isinstance(self.num_nodes, bool):
-            raise ValueError("num_nodes must be an integer")
-        if self.num_nodes < 0:
-            raise ValueError("num_nodes must be nonnegative")
-        num_nodes = self.num_nodes
+        num_nodes = _node_count(self.num_nodes)
+        object.__setattr__(self, "num_nodes", num_nodes)
         for e, p in self.edges.items():
             u, v = e
             # exact type tests: bool subclasses int, but serializes as true/false
@@ -248,6 +265,17 @@ class Subgraph:
         return len(self.edges)
 
 
+def _last_removable(edges: tuple[Edge, ...], extra: tuple[Edge, ...] = ()) -> int:
+    """Index of the largest edge of ``edges``, which are ascending, whose
+    removal from ``edges`` + ``extra`` leaves the rest connected; -1 when
+    no edge of ``edges`` is removable."""
+    whole = edges + extra
+    for i in range(len(edges) - 1, -1, -1):
+        if _connected(whole[:i] + whole[i + 1 :]):
+            return i
+    return -1
+
+
 def canonical_parent(sub: Subgraph) -> Subgraph | None:
     """Parent of ``sub`` in the reverse-search tree; None for single edges.
 
@@ -259,11 +287,81 @@ def canonical_parent(sub: Subgraph) -> Subgraph | None:
     edges = sub.edges
     if len(edges) == 1:
         return None
-    for i in range(len(edges) - 1, -1, -1):
-        rest = edges[:i] + edges[i + 1 :]
-        if _connected(rest):
-            return Subgraph._trusted(rest)
-    raise AssertionError(f"no removable edge in connected subgraph {edges}")
+    i = _last_removable(edges)
+    if i < 0:
+        raise AssertionError(f"no removable edge in connected subgraph {edges}")
+    return Subgraph._trusted(edges[:i] + edges[i + 1 :])
+
+
+def _threshold(columns: EdgeColumns, edges: tuple[Edge, ...], e: Edge) -> int:
+    """Column of the largest edge of ``edges`` removable from ``edges`` + ``e``, or -1."""
+    i = _last_removable(edges, (e,))
+    return columns.column[edges[i]] if i >= 0 else -1
+
+
+class _ChildList(Sequence):
+    """Children of one parent, held as the columns of their added edges.
+
+    ``added`` is ascending; a child's Subgraph is built only when it is read.
+    """
+
+    def __init__(self, parent: tuple[Edge, ...], added: np.ndarray, columns: EdgeColumns) -> None:
+        self.parent = parent
+        self.added = added
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.added)
+
+    def __getitem__(self, i: int) -> Subgraph:
+        e = self.columns.edges[self.added[i]]
+        return Subgraph._trusted(tuple(sorted(self.parent + (e,))))
+
+
+def children(parent: Subgraph | None, universe: CertainGraph) -> _ChildList:
+    """Children of ``parent`` in the reverse-search tree over ``universe``.
+
+    The root (None) owns every single-edge subgraph. Otherwise a child is the
+    parent plus one incident universe edge e whose canonical parent is exactly
+    this parent, in ascending order of e; across the whole tree every
+    connected subgraph of the universe appears exactly once.
+
+    Dropping e leaves the connected parent, so e is canonical iff it is larger
+    than every parent edge removable from parent + e. Which parent edges are
+    removable depends on e only through where it attaches: its one endpoint
+    in the parent for a pendant edge, both endpoints for a chord. So there is
+    one threshold per attach node and per chord, and the test is a comparison
+    of edge columns.
+    """
+    columns = universe.columns
+    if parent is None:
+        return _ChildList((), np.arange(len(columns.edges)), columns)
+    edges = parent.edges
+    if len(edges) == 1:
+        # both ends are leaves, so every extension is pendant with the parent
+        # edge as its threshold, and the parent edge is the only shared column.
+        # The edges kept at u are (u, y) and those kept at v are (x, v) or
+        # (v, y) with x > u, so the concatenation stays ascending.
+        ((u, v),) = edges
+        near = np.concatenate([columns.incident[u], columns.incident[v]])
+        return _ChildList(edges, near[near > columns.column[edges[0]]], columns)
+    nodes = sorted(parent.nodes)
+    incident = [columns.incident[a] for a in nodes]
+    near = np.concatenate(incident)
+    # a pendant edge's threshold is its attach node's; -1 stands for its new node
+    per_node = [_threshold(columns, edges, (a, -1)) for a in nodes]
+    threshold = np.repeat(per_node, [len(js) for js in incident])
+    order = near.argsort()
+    near, threshold = near[order], threshold[order]
+    # a column listed twice joins two parent nodes: a parent edge or a chord;
+    # the bar len(columns.edges) rejects the second copy and parent edges
+    bar = len(columns.edges)
+    own = set(edges)
+    for i in np.flatnonzero(near[1:] == near[:-1]).tolist():
+        e = columns.edges[near[i]]
+        threshold[i] = bar if e in own else _threshold(columns, edges, e)
+        threshold[i + 1] = bar
+    return _ChildList(edges, near[near > threshold], columns)
 
 
 @dataclass(frozen=True)
@@ -286,8 +384,7 @@ class Dataset:
             raise ValueError("labels and graphs must have equal length")
         if len(self.ids) != len(self.graphs):
             raise ValueError("ids and graphs must have equal length")
-        if isinstance(self.num_nodes, bool):
-            raise ValueError("num_nodes must be an integer")
+        object.__setattr__(self, "num_nodes", _node_count(self.num_nodes))
         for i, y in enumerate(self.labels):
             # exact type tests: a bool or a numpy integer is no JSON number
             if type(y) not in (int, float) or y not in (1, -1):
@@ -531,21 +628,6 @@ def union_graph(dataset: Dataset, counts: np.ndarray | None = None) -> CertainGr
     union = np.flatnonzero(_edge_counts(dataset) if counts is None else counts)
     edges = [table.edges[j] for j in union.tolist()]
     return CertainGraph._trusted(dataset.num_nodes, edges, table.ends[union])
-
-
-def _probability_matrix(
-    dataset: Dataset, edges: np.ndarray, counts: np.ndarray | None = None
-) -> np.ndarray:
-    """Edge probabilities, one column per graph, 0 where the graph lacks the edge.
-
-    ``edges`` holds distinct columns of ``union_graph(dataset)``, and the
-    matrix has one row per listed column, in that order. A row is the same,
-    bit for bit, whichever rows are built with it, so a search can densify
-    only the edges it may read. Built on each call, locating the union in
-    the edge table by ``counts`` when given.
-    """
-    union = np.flatnonzero(_edge_counts(dataset) if counts is None else counts)
-    return _edge_rows(dataset, union[edges])
 
 
 def _flatten(

@@ -1,18 +1,9 @@
 """Top-t discriminative subgraph search with branch-and-bound pruning.
 
 Because node labels are unique, subgraph isomorphism degenerates to edge-set
-inclusion and the classic DFS-code machinery is unnecessary. Enumeration is
-instead organized as a reverse-search tree over connected edge sets: every
-subgraph has a unique canonical parent (drop the largest edge whose removal
-keeps it connected), so each connected subgraph of the union graph is
-generated exactly once.
-
-Children come from the universe's incidence index, as edge columns in
-ascending edge order. An extension is accepted when its column exceeds a
-threshold computed once per attach point (the reverse-search parent test of
-Avis & Fukuda, 1996), from connectivity tests (``_threshold``); a one-edge
-parent needs none, since both its ends are leaves and its own edge is every
-extension's threshold.
+inclusion and the classic DFS-code machinery is unnecessary: the search
+walks the reverse-search tree of connected edge sets that ``graphs`` owns
+(``children``). This module owns the walk and its store.
 
 Every frequency filter keeps the rows above one floor: min_sup in the pruned
 search (``mine``), and -1, below every mean, in the exhaustive reference
@@ -92,7 +83,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, insort
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -100,17 +91,15 @@ import numpy as np
 
 from .distribution import MeasureSpec, _batched_support, _MeasureGrids
 from .graphs import (
-    CertainGraph,
     Dataset,
-    Edge,
-    EdgeColumns,
     Subgraph,
+    _ChildList,
     _edge_counts,
-    _probability_matrix,
-    canonical_parent,  # re-exported; graphs orders containment products by it
+    _edge_rows,
+    canonical_parent,  # bound here so that a tracer can wrap it by this name
+    children,
     union_graph,
 )
-from .graphs import _connected as _edges_connected
 from .scores import ScoreFunction, score_grid
 
 
@@ -234,84 +223,6 @@ class MiningResult:
     stats: SearchStats
 
 
-def _threshold(columns: EdgeColumns, edges: tuple[Edge, ...], e: Edge) -> int:
-    """Column of the largest edge of ``edges`` removable from ``edges`` + ``e``.
-
-    Removable means the rest stays connected; -1 when no edge of ``edges`` is.
-    """
-    child = edges + (e,)
-    for i in range(len(edges) - 1, -1, -1):
-        rest = child[:i] + child[i + 1 :]
-        if _edges_connected(rest):
-            return columns.column[edges[i]]
-    return -1
-
-
-class _ChildList(Sequence):
-    """Children of one parent, held as the columns of their added edges.
-
-    ``added`` is ascending; a child's Subgraph is built only when it is read.
-    """
-
-    def __init__(self, parent: tuple[Edge, ...], added: np.ndarray, columns: EdgeColumns) -> None:
-        self.parent = parent
-        self.added = added
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.added)
-
-    def __getitem__(self, i: int) -> Subgraph:
-        e = self.columns.edges[self.added[i]]
-        return Subgraph._trusted(tuple(sorted(self.parent + (e,))))
-
-
-def children(parent: Subgraph | None, universe: CertainGraph) -> _ChildList:
-    """Children of ``parent`` in the reverse-search tree over ``universe``.
-
-    The root (None) owns every single-edge subgraph. Otherwise a child is the
-    parent plus one incident universe edge e whose canonical parent is exactly
-    this parent, in ascending order of e; across the whole tree every
-    connected subgraph of the universe appears exactly once.
-
-    Dropping e leaves the connected parent, so e is canonical iff it is larger
-    than every parent edge removable from parent + e. Which parent edges are
-    removable depends on e only through where it attaches: its one endpoint
-    in the parent for a pendant edge, both endpoints for a chord. So there is
-    one threshold per attach node and per chord, and the test is a comparison
-    of edge columns.
-    """
-    columns = universe.columns
-    if parent is None:
-        return _ChildList((), np.arange(len(columns.edges)), columns)
-    edges = parent.edges
-    if len(edges) == 1:
-        # both ends are leaves, so every extension is pendant with the parent
-        # edge as its threshold, and the parent edge is the only shared column.
-        # The edges kept at u are (u, y) and those kept at v are (x, v) or
-        # (v, y) with x > u, so the concatenation stays ascending.
-        ((u, v),) = edges
-        near = np.concatenate([columns.incident[u], columns.incident[v]])
-        return _ChildList(edges, near[near > columns.column[edges[0]]], columns)
-    nodes = sorted(parent.nodes)
-    incident = [columns.incident[a] for a in nodes]
-    near = np.concatenate(incident)
-    # a pendant edge's threshold is its attach node's; -1 stands for its new node
-    per_node = [_threshold(columns, edges, (a, -1)) for a in nodes]
-    threshold = np.repeat(per_node, [len(js) for js in incident])
-    order = near.argsort()
-    near, threshold = near[order], threshold[order]
-    # a column listed twice joins two parent nodes: a parent edge or a chord;
-    # the bar len(columns.edges) rejects the second copy and parent edges
-    bar = len(columns.edges)
-    own = set(edges)
-    for i in np.flatnonzero(near[1:] == near[:-1]).tolist():
-        e = columns.edges[near[i]]
-        threshold[i] = bar if e in own else _threshold(columns, edges, e)
-        threshold[i + 1] = bar
-    return _ChildList(edges, near[near > threshold], columns)
-
-
 @dataclass(slots=True)
 class _Node:
     sub: Subgraph
@@ -407,8 +318,9 @@ def _search(dataset: Dataset, cfg: MiningConfig, prune: bool) -> MiningResult:
     floor = cfg.min_sup if prune else -1.0  # -1, below every mean, keeps every row
     # the edges nonzero, by count (one per graph), in more than floor of the graphs
     dense = np.flatnonzero(counts[counts > 0] / n_graphs > floor)
-    # one row of per-graph containment probabilities per dense edge
-    probs = _probability_matrix(dataset, dense, counts)
+    # one row of per-graph containment probabilities per dense edge, read at
+    # its edge-table column (the union edges are the table edges with a count)
+    probs = _edge_rows(dataset, np.flatnonzero(counts)[dense])
     # the store: the rows of the frequent roots
     frequent = np.flatnonzero(probs.mean(axis=1) > floor)
     if len(frequent) < len(dense):

@@ -43,8 +43,9 @@ class ScoreFunction:
     def __post_init__(self) -> None:
         if self.kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.kind!r}; expected one of {SCORE_KINDS}")
-        if self.cap_epsilon < 0:
-            raise ValueError("cap_epsilon must be >= 0")
+        # NaN fails the comparison; an infinite epsilon would clamp every score to 0
+        if not 0.0 <= self.cap_epsilon < math.inf:
+            raise ValueError("cap_epsilon must be finite and >= 0")
 
     @property
     def cap(self) -> float:

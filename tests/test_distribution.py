@@ -120,6 +120,15 @@ class TestMeasures:
         spec = ug.MeasureSpec("phi-pr", phi=1.0)
         assert ug.measure_from_distribution(dist, spec) == 0.0001
 
+    def test_phi_must_not_be_nan(self):
+        """A NaN threshold ranks every feature at 0; an infinite one is valid."""
+        with pytest.raises(ValueError, match="phi"):
+            ug.MeasureSpec("phi-pr", math.nan)
+        dist = ug.distribution_from_pairs([(0.01, 0.9999), (math.inf, 0.0001)])
+        for phi, value in ((-math.inf, 1.0), (math.inf, 0.0001)):
+            spec = ug.MeasureSpec("phi-pr", phi)
+            assert ug.measure_from_distribution(dist, spec) == pytest.approx(value, abs=1e-15)
+
     def test_exp_single_cell(self):
         # all mass on the support pair (1, 0)
         exp = ug.MeasureSpec("exp")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ import ugmine as ug
 from conftest import (
     DATA_DIR,
     JSON_VALUES,
+    _subset_connected,
     all_pairs,
     make_random_dataset,
     mostly,
@@ -26,8 +28,12 @@ from ugmine.graphs import (
     _edge_rows,
     _EdgeTable,
     _listed_probabilities,
-    _probability_matrix,
 )
+
+
+def union_rows(d: ug.Dataset, edges) -> np.ndarray:
+    """The rows of the union graph's edge columns ``edges``, read from the edge table."""
+    return _edge_rows(d, np.flatnonzero(_edge_counts(d))[np.asarray(edges, dtype=np.intp)])
 
 
 def minimal_text(edges, label=1, num_nodes=3):
@@ -367,7 +373,8 @@ class TestConstructorsMatchParser:
 def test_constructed_datasets_round_trip(data):
     """A dataset the constructors accept serializes to text that parses back
     to an equal dataset."""
-    num_nodes = data.draw(st.sampled_from([0, 2, 4, True]))
+    # a float or negative count is refused, a numpy integer kept as an int
+    num_nodes = data.draw(st.sampled_from([0, 2, 4, True, 4.0, -1, np.int64(4)]))
     endpoint = st.integers(0, 3) | st.booleans() | st.just(1.0)
     probability = st.floats(0.001, 1.0) | st.sampled_from([1, 0.5, True, False, "0.5"])
     label = st.sampled_from([1, -1, 1.0, -1.0, True, False, 2, np.int64(1), np.int32(-1)])
@@ -497,14 +504,14 @@ class TestSubset:
             assert universe.columns.edges == edges
             assert universe.edges == frozenset(edges)
             every = range(len(edges))
-            matrix = _probability_matrix(d, np.arange(len(edges)))
+            matrix = union_rows(d, np.arange(len(edges)))
             assert matrix.shape == probs.shape
             assert matrix.tobytes() == probs.tobytes()
             # ascending, unordered and empty selections of edge columns
             picks = [sorted(rng.sample(every, len(edges) // 3)), []]
             picks.append(rng.sample(every, min(len(edges), 5)))
             for pick in picks:
-                rows = _probability_matrix(d, np.array(pick, dtype=np.intp))
+                rows = union_rows(d, pick)
                 assert rows.shape == (len(pick), len(d))
                 for row, j in zip(rows, pick):
                     assert row.tobytes() == matrix[j].tobytes()
@@ -532,7 +539,7 @@ class TestSubset:
         ds = ug.Dataset(3, (), ())
         self.assert_tables_equal(ds)
         self.assert_tables_equal(ds.subset([]))
-        assert _probability_matrix(ds, np.arange(0)).shape == (0, 0)
+        assert union_rows(ds, np.arange(0)).shape == (0, 0)
 
     def test_graph_without_edges(self, fig2):
         empty = ug.UncertainGraph(3, {})
@@ -540,7 +547,7 @@ class TestSubset:
         self.assert_tables_equal(ds)
         for indices in ([0], [0, 5], [5, 2, 0], [1, 5]):
             self.assert_tables_equal(ds.subset(indices))
-        assert _probability_matrix(ds.subset([0]), np.arange(0)).shape == (0, 1)
+        assert union_rows(ds.subset([0]), np.arange(0)).shape == (0, 1)
 
     def test_edges_only_in_test_part(self):
         graphs = tuple(ug.UncertainGraph(5, {e: 0.5}) for e in ((0, 1), (1, 2), (3, 4), (0, 1)))
@@ -827,3 +834,57 @@ class TestSubgraph:
         }
         feature = ug.Subgraph.from_edges([(0, big), (big, big + 1)])
         assert ug.featurize(ds, [feature]).values.tolist() == [[0.125], [0.0]]
+
+
+class TestReverseSearchTree:
+    """``children`` and ``canonical_parent`` are one rule seen from both sides:
+    every child of P has canonical parent P and extends P's chain by its added
+    edge, and every connected edge set is the child of exactly its parent."""
+
+    @staticmethod
+    def universes():
+        """Random universes of 4-6 nodes, each with a cycle through 3+ nodes."""
+        rng = random.Random(97)
+        for _ in range(20):
+            n = rng.randint(4, 6)
+            ring = rng.sample(range(n), rng.randint(3, n))
+            edges = {ug.make_edge(a, b) for a, b in zip(ring, ring[1:] + ring[:1])}
+            edges |= {e for e in all_pairs(n) if rng.random() < 0.5}
+            yield ug.CertainGraph(n, frozenset(edges))
+
+    @staticmethod
+    def brute_threshold(columns, parent: tuple, e: tuple) -> int:
+        """Largest column of a parent edge whose removal from parent + e keeps it connected."""
+        whole = set(parent) | {e}
+        removable = [f for f in parent if _subset_connected(tuple(whole - {f}))]
+        return max((columns.column[f] for f in removable), default=-1)
+
+    def test_children_and_parents_agree(self):
+        checked_chords = 0
+        for universe in self.universes():
+            columns = universe.columns
+            edges = sorted(universe.edges)
+            connected = [
+                combo
+                for r in range(1, 6)
+                for combo in itertools.combinations(edges, r)
+                if _subset_connected(combo)
+            ]
+            assert any(len(c) >= len({n for e in c for n in e}) for c in connected)  # a cycle
+            seen = []
+            for parent_edges in (c for c in connected if len(c) <= 4):
+                parent = ug.Subgraph(parent_edges)
+                for child in ug.children(parent, universe):
+                    (e,) = set(child.edges) - set(parent_edges)
+                    assert ug.canonical_parent(child) == parent
+                    assert child._chain == parent._chain + (e,)
+                    seen.append(child.edges)
+                for e in universe.extensions(parent_edges):
+                    expected = self.brute_threshold(columns, parent_edges, e)
+                    assert graphs._threshold(columns, parent_edges, e) == expected
+                    checked_chords += e[0] in parent.nodes and e[1] in parent.nodes
+                for a in parent.nodes:  # a pendant edge to a new node, as ``children`` asks
+                    expected = self.brute_threshold(columns, parent_edges, (a, -1))
+                    assert graphs._threshold(columns, parent_edges, (a, -1)) == expected
+            assert sorted(seen) == sorted(c for c in connected if len(c) >= 2)
+        assert checked_chords > 100

@@ -539,15 +539,16 @@ class TestStore:
 
     @staticmethod
     def spy_rows(monkeypatch):
-        """The edges given to each ``_probability_matrix`` call of the search."""
+        """The edges given to each ``_edge_rows`` call of the search; these
+        datasets build their own edge tables, so table columns are union columns."""
         built = []
-        real = miner._probability_matrix
+        real = miner._edge_rows
 
-        def spy(dataset, edges, selection=None):
-            built.append(edges.tolist())
-            return real(dataset, edges, selection)
+        def spy(dataset, cols):
+            built.append(cols.tolist())
+            return real(dataset, cols)
 
-        monkeypatch.setattr(miner, "_probability_matrix", spy)
+        monkeypatch.setattr(miner, "_edge_rows", spy)
         return built
 
     def test_mine_unchanged_at_the_store_boundary(self, monkeypatch):

@@ -73,6 +73,14 @@ class TestEvalScore:
         with pytest.raises(ValueError):
             ug.ScoreFunction("chi2")
 
+    def test_cap_epsilon_must_be_finite_and_nonnegative(self):
+        """A NaN epsilon would make every score NaN, an infinite one clamp
+        every score to 0, and a negative one flip the cap's sign."""
+        for eps in (math.nan, math.inf, -math.inf, -0.01):
+            with pytest.raises(ValueError, match="cap_epsilon"):
+                ug.ScoreFunction("conf", eps)
+        assert spec("conf", 0.0).cap == math.inf
+
     def test_never_nan_exhaustive(self):
         for kind in KINDS:
             s = spec(kind)

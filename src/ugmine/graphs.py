@@ -5,12 +5,13 @@ are the indices themselves. Because labels are unique, a subgraph has at most
 one embedding in any graph, so containment reduces to edge-set inclusion.
 
 A dataset's edges are held once, in one flat table (``_EdgeTable``), which is
-what mining, evaluation and featurizing read. ``parse_dataset`` decodes each
-graph's edge list straight into arrays, checks them with a few vectorized
-tests, and fills the table from those arrays; a graph it returns holds no
-edge dict until its ``edges`` is first read (by the oracle, by
-``serialize_dataset`` or by ``containment_probability``). Other modules
-read the table only through this module's functions of a dataset.
+what mining, evaluation, featurizing and ``serialize_dataset`` read.
+``parse_dataset`` decodes each graph's edge list straight into arrays, and
+``synth.generate`` draws its graphs as arrays; both hand them to one builder
+(``_table_dataset``), which checks them with a few vectorized tests and fills
+the table. A graph it returns holds no edge dict until its ``edges`` is first
+read (by the oracle or by ``containment_probability``). Other modules read
+the table only through this module's functions of a dataset.
 
 This module also owns the reverse-search tree (Avis & Fukuda, 1996) that
 ``mine`` walks and that orders ``featurize``'s products: a subgraph's
@@ -48,14 +49,15 @@ def make_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _node_count(num_nodes) -> int:
-    """``num_nodes`` as an ``int``, if it is a nonnegative integer (a bool is not)."""
+def _nonnegative_int(value, name: str) -> int:
+    """``value`` as an ``int``, if it is a nonnegative integer (a bool is not);
+    ``name`` names it in the error."""
     try:
-        count = -1 if isinstance(num_nodes, bool) else operator.index(num_nodes)
+        count = -1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = -1
     if count < 0:
-        raise ValueError("num_nodes must be a nonnegative integer")
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     return count
 
 
@@ -84,7 +86,7 @@ class UncertainGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", dict(self.edges))
-        num_nodes = _node_count(self.num_nodes)
+        num_nodes = _nonnegative_int(self.num_nodes, "num_nodes")
         object.__setattr__(self, "num_nodes", num_nodes)
         for e, p in self.edges.items():
             u, v = e
@@ -384,7 +386,7 @@ class Dataset:
             raise ValueError("labels and graphs must have equal length")
         if len(self.ids) != len(self.graphs):
             raise ValueError("ids and graphs must have equal length")
-        object.__setattr__(self, "num_nodes", _node_count(self.num_nodes))
+        object.__setattr__(self, "num_nodes", _nonnegative_int(self.num_nodes, "num_nodes"))
         for i, y in enumerate(self.labels):
             # exact type tests: a bool or a numpy integer is no JSON number
             if type(y) not in (int, float) or y not in (1, -1):
@@ -517,6 +519,12 @@ class _EdgeTable:
         keys = map(self.edges.__getitem__, self.cols[start:stop].tolist())
         return dict(zip(keys, self.probs[start:stop].tolist()))
 
+    def _entry_keys(self) -> np.ndarray:
+        """One key per entry, ordered by graph, then column: two entries share
+        a key when one graph lists one edge twice."""
+        graph = np.repeat(np.arange(len(self.offsets) - 1, dtype=np.int64), np.diff(self.offsets))
+        return graph * len(self.edges) + self.cols
+
     @cached_property
     def _by_column(self) -> tuple[np.ndarray, np.ndarray]:
         """The entries ordered by column, then graph, and where the run of each
@@ -642,6 +650,48 @@ def _flatten(
         _node_array([v for _, v in keys]),
         np.fromiter(probs, np.float64, len(keys)),
     )
+
+
+def _table_dataset(
+    num_nodes: int,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    probs: np.ndarray,
+    sizes: Sequence[int],
+    labels: Sequence[int],
+    ids: Sequence[str],
+) -> Dataset:
+    """The dataset of the graphs whose entries ``_EdgeTable`` takes as given,
+    with their labels and ids; its graphs are rows of one new edge table.
+
+    A few vectorized tests stand in for ``UncertainGraph``'s per-edge ones:
+    each entry must have 0 <= lo < hi < num_nodes and a probability in
+    (0, 1], and no graph may list one edge twice. ValueError names the
+    graph of the first bad entry.
+    """
+    starts = np.cumsum(sizes) - sizes
+
+    def fail(k: int, why: str) -> None:
+        graph = int(np.searchsorted(starts, k, side="right")) - 1
+        raise ValueError(f"graph {graph}: edge ({lo[k]}, {hi[k]}) {why}")
+
+    bad = np.flatnonzero(~((0 <= lo) & (lo < hi) & (hi < num_nodes)))
+    if len(bad):
+        fail(bad[0], f"not canonical for {num_nodes} nodes")
+    # NaN fails both tests
+    bad = np.flatnonzero(~((0.0 < probs) & (probs <= 1.0)))
+    if len(bad):
+        fail(bad[0], f"has probability {float(probs[bad[0]])!r} out of range (0, 1]")
+    table = _EdgeTable(lo, hi, probs, sizes)
+    keys = np.sort(table._entry_keys())
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(twice):
+        graph, col = divmod(int(keys[twice[0]]), len(table.edges))
+        raise ValueError(f"graph {graph}: edge {table.edges[col]} listed twice")
+    graphs = tuple(UncertainGraph._row_of(num_nodes, table, r) for r in range(len(sizes)))
+    dataset = Dataset(num_nodes, graphs, tuple(labels), tuple(ids))
+    dataset.__dict__["_edge_table"] = (table, np.arange(len(graphs)))
+    return dataset
 
 
 class _EdgeList:
@@ -796,28 +846,31 @@ def parse_dataset(text: bytes | str) -> Dataset:
     lo, hi, probs = map(np.concatenate, zip(*parts))
     sizes = [len(part[0]) for part in parts[1:]]
     del parts
-    table = _EdgeTable(lo, hi, probs, sizes)
-    graphs = tuple(UncertainGraph._row_of(num_nodes, table, r) for r in range(len(sizes)))
-    dataset = Dataset(num_nodes, graphs, tuple(labels), tuple(ids))
-    dataset.__dict__["_edge_table"] = (table, np.arange(len(graphs)))
-    return dataset
+    return _table_dataset(num_nodes, lo, hi, probs, sizes, labels, ids)
 
 
 def serialize_dataset(dataset: Dataset) -> bytes:
     """Serialize to the JSON dataset format; inverse of parse_dataset.
 
-    Probabilities are written with repr-level precision so parsing the output
-    reproduces the dataset exactly, bit for bit.
+    Written from the dataset's edge table, graph by graph, each graph's
+    edges ascending. Probabilities are written with repr-level precision so
+    parsing the output reproduces the dataset exactly, bit for bit.
     """
-    lines = ["{", f' "num_nodes": {dataset.num_nodes},', ' "graphs": [']
-    for i, g in enumerate(dataset.graphs):
-        obj = {
-            "id": dataset.ids[i],
-            "label": dataset.labels[i],
-            "edges": [[u, v, p] for (u, v), p in sorted(g.edges.items())],
-        }
-        comma = "," if i + 1 < len(dataset.graphs) else ""
-        lines.append("  " + json.dumps(obj) + comma)
-    lines.append(" ]")
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    table, rows = dataset._edge_table
+    heads = [f"[{u}, {v}, " for u, v in table.edges]
+    # each graph's entries by column, which is edge order
+    order = np.argsort(table._entry_keys())
+    cols, probs = table.cols[order], table.probs[order]
+    offsets = table.offsets.tolist()
+    # every line is ASCII (json.dumps escapes the rest), so each is encoded as
+    # it is made and no str copy of the whole text is held
+    lines = [b"{", f' "num_nodes": {dataset.num_nodes},'.encode(), b' "graphs": [']
+    for i, r in enumerate(rows.tolist()):
+        at = slice(offsets[r], offsets[r + 1])
+        entries = zip(cols[at].tolist(), probs[at].tolist())
+        edges = ", ".join([heads[c] + repr(p) + "]" for c, p in entries])
+        gid, label = json.dumps(dataset.ids[i]), json.dumps(dataset.labels[i])
+        comma = "," if i + 1 < len(rows) else ""
+        lines.append(f'  {{"id": {gid}, "label": {label}, "edges": [{edges}]}}{comma}'.encode())
+    lines += [b" ]", b"}", b""]
+    return b"\n".join(lines)

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Dataset, Edge, Subgraph, UncertainGraph, _listed_probabilities
+from .graphs import (
+    Dataset,
+    Subgraph,
+    UncertainGraph,
+    _listed_probabilities,
+    _nonnegative_int,
+    _table_dataset,
+)
 
 PRESETS = ("fig2", "adhd-like", "adni-like", "hiv-like")
 
@@ -34,14 +41,21 @@ class SynthConfig:
     planted_prob_neg: float
 
     def __post_init__(self) -> None:
+        for name in ("seed", "n_pos", "n_neg", "num_nodes", "background_edges_per_graph"):
+            object.__setattr__(self, name, _nonnegative_int(getattr(self, name), name))
         if self.n_pos < 1 or self.n_neg < 1:
             raise ValueError("both class counts must be >= 1")
         lo, hi = self.background_prob_range
         if not (0.0 < lo <= hi <= 1.0):
             raise ValueError("background_prob_range must satisfy 0 < lo <= hi <= 1")
-        for p in (self.planted_prob_pos, self.planted_prob_neg):
+        for name in ("planted_prob_pos", "planted_prob_neg"):
+            p = getattr(self, name)
+            # a bool is no probability, though it compares as one
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise ValueError(f"{name} must be a number, got {p!r}")
             if not (0.0 < p <= 1.0):
-                raise ValueError("planted probabilities must lie in (0, 1]")
+                raise ValueError(f"{name} must lie in (0, 1], got {p!r}")
+            object.__setattr__(self, name, float(p))
         max_node = max(v for _, v in self.planted.edges)
         if max_node >= self.num_nodes:
             raise ValueError("planted subgraph does not fit the node universe")
@@ -53,31 +67,41 @@ class SynthConfig:
             )
 
 
-def _all_pairs(num_nodes: int) -> list[Edge]:
-    return [(u, v) for u in range(num_nodes) for v in range(u + 1, num_nodes)]
-
-
 def generate(cfg: SynthConfig) -> Dataset:
-    """Deterministic dataset for the config; per-graph seeds derive from cfg.seed."""
-    pairs = _all_pairs(cfg.num_nodes)
-    lo, hi = cfg.background_prob_range
-    graphs = []
-    labels = []
-    ids = []
-    total = cfg.n_pos + cfg.n_neg
+    """Deterministic dataset for the config; per-graph seeds derive from cfg.seed.
+
+    Built as arrays: graph i's background edges are the pairs ``rng.choice``
+    draws, in the order drawn, with their ``rng.uniform`` probabilities. A
+    planted edge drawn as background takes the planted probability in its
+    slot; the other planted edges follow, in planted order.
+    """
+    n = cfg.num_nodes
+    us, vs = np.triu_indices(n, 1)
+    total, k = cfg.n_pos + cfg.n_neg, cfg.background_edges_per_graph
+    pairs = np.empty((total, k), dtype=np.intp)
+    probs = np.empty((total, k))
     for i in range(total):
-        is_pos = i < cfg.n_pos
         rng = np.random.default_rng([cfg.seed, i])
-        chosen = rng.choice(len(pairs), size=cfg.background_edges_per_graph, replace=False)
-        probs = rng.uniform(lo, hi, size=cfg.background_edges_per_graph)
-        edges = {pairs[j]: float(p) for j, p in zip(chosen, probs)}
-        planted_p = cfg.planted_prob_pos if is_pos else cfg.planted_prob_neg
-        for e in cfg.planted.edges:
-            edges[e] = planted_p  # planted signal overwrites colliding background
-        graphs.append(UncertainGraph(cfg.num_nodes, edges))
-        labels.append(1 if is_pos else -1)
-        ids.append(f"pos{i}" if is_pos else f"neg{i - cfg.n_pos}")
-    return Dataset(cfg.num_nodes, tuple(graphs), tuple(labels), tuple(ids))
+        pairs[i] = rng.choice(len(us), size=k, replace=False)
+        probs[i] = rng.uniform(*cfg.background_prob_range, size=k)
+    # the pair index of each planted edge (u, v), in the row-major order of us, vs
+    pu, pv = np.array(cfg.planted.edges).T
+    planted = pu * n - pu * (pu + 1) // 2 + pv - pu - 1
+    planted_p = np.where(np.arange(total) < cfg.n_pos, cfg.planted_prob_pos, cfg.planted_prob_neg)
+    slot = np.full(len(us), -1)
+    slot[planted] = np.arange(len(planted))
+    which = slot[pairs]
+    graph, at = np.nonzero(which >= 0)
+    probs[graph, at] = planted_p[graph]
+    missing = np.ones((total, len(planted)), dtype=bool)
+    missing[graph, which[graph, at]] = False
+    # row by row: the background entries, then the planted edges not drawn
+    keep = np.concatenate([np.ones((total, k), dtype=bool), missing], axis=1)
+    pairs = np.concatenate([pairs, np.broadcast_to(planted, missing.shape)], axis=1)[keep]
+    probs = np.concatenate([probs, np.repeat(planted_p[:, None], len(planted), 1)], axis=1)[keep]
+    labels = [1] * cfg.n_pos + [-1] * cfg.n_neg
+    ids = [f"pos{i}" for i in range(cfg.n_pos)] + [f"neg{i}" for i in range(cfg.n_neg)]
+    return _table_dataset(n, us[pairs], vs[pairs], probs, keep.sum(axis=1), labels, ids)
 
 
 def fig2_dataset() -> Dataset:
@@ -136,8 +160,11 @@ def preset_config(
 
 
 def make_preset(name: str, seed: int = 0, **overrides) -> Dataset:
-    """Dataset for a named preset; overrides forward to preset_config."""
+    """Dataset for a named preset; overrides forward to preset_config, and
+    fig2, which is fixed, takes none."""
     if name == "fig2":
+        if overrides:
+            raise ValueError(f"preset fig2 is fixed; it takes no {', '.join(sorted(overrides))}")
         return fig2_dataset()
     return generate(preset_config(name, seed=seed, **overrides))
 

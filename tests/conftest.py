@@ -346,3 +346,44 @@ def reference_table(graphs) -> dict[str, object]:
     cols = np.fromiter((column[e] for g in graphs for e in g.edges), np.int32, total)
     probs = np.fromiter((p for g in graphs for p in g.edges.values()), np.float64, total)
     return {"edges": edges, "ends": ends, "offsets": offsets, "cols": cols, "probs": probs}
+
+
+# The generator and serializer as they were before ``gen`` went straight into
+# the edge table: one edge dict per graph, planted edges stamped on top, and
+# one ``json.dumps`` per graph of its sorted edge dict. The differential tests
+# of ``generate`` and ``serialize_dataset`` compare against these.
+
+
+def reference_generate(cfg) -> Dataset:
+    """The dataset of ``cfg`` (a ``SynthConfig``), built graph by graph from edge dicts."""
+    pairs = all_pairs(cfg.num_nodes)
+    lo, hi = cfg.background_prob_range
+    graphs, labels, ids = [], [], []
+    for i in range(cfg.n_pos + cfg.n_neg):
+        is_pos = i < cfg.n_pos
+        rng = np.random.default_rng([cfg.seed, i])
+        chosen = rng.choice(len(pairs), size=cfg.background_edges_per_graph, replace=False)
+        probs = rng.uniform(lo, hi, size=cfg.background_edges_per_graph)
+        edges = {pairs[j]: float(p) for j, p in zip(chosen, probs)}
+        for e in cfg.planted.edges:
+            edges[e] = cfg.planted_prob_pos if is_pos else cfg.planted_prob_neg
+        graphs.append(UncertainGraph(cfg.num_nodes, edges))
+        labels.append(1 if is_pos else -1)
+        ids.append(f"pos{i}" if is_pos else f"neg{i - cfg.n_pos}")
+    return Dataset(cfg.num_nodes, tuple(graphs), tuple(labels), tuple(ids))
+
+
+def reference_serialize(dataset: Dataset) -> bytes:
+    """The JSON dataset format of ``dataset``, written from its graphs' edge dicts."""
+    lines = ["{", f' "num_nodes": {dataset.num_nodes},', ' "graphs": [']
+    for i, g in enumerate(dataset.graphs):
+        obj = {
+            "id": dataset.ids[i],
+            "label": dataset.labels[i],
+            "edges": [[u, v, p] for (u, v), p in sorted(g.edges.items())],
+        }
+        comma = "," if i + 1 < len(dataset.graphs) else ""
+        lines.append("  " + json.dumps(obj) + comma)
+    lines.append(" ]")
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode("utf-8")

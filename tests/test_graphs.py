@@ -18,6 +18,7 @@ from conftest import (
     mostly,
     random_connected_subgraph,
     reference_parse,
+    reference_serialize,
     reference_table,
     to_json,
 )
@@ -28,6 +29,7 @@ from ugmine.graphs import (
     _edge_rows,
     _EdgeTable,
     _listed_probabilities,
+    _table_dataset,
 )
 
 
@@ -302,6 +304,18 @@ class TestParseIntoTable:
             tracemalloc.stop()
         assert len(ds) == 200
         assert live < 3e6
+
+    def test_memory_of_generated_adhd(self):
+        """``gen`` builds adhd-like seed 0 as an edge table and writes it from
+        there: its peak stays under the 15.24 MB the dict-based generator and
+        serializer took (about 10 MB)."""
+        tracemalloc.start()
+        try:
+            ug.serialize_dataset(ug.make_preset("adhd-like", seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15.2e6
 
     def test_mine_evaluate_featurize_build_no_edge_dict(self, monkeypatch):
         built = []
@@ -755,6 +769,76 @@ class TestSerialize:
         for _ in range(20):
             ds = make_random_dataset(rng, num_nodes=5, max_edges=5)
             assert ug.parse_dataset(ug.serialize_dataset(ds)) == ds
+
+
+class TestTableDataset:
+    """``_table_dataset`` checks its entries as ``UncertainGraph`` checks an edge dict."""
+
+    def build(self, lo, hi, probs, sizes):
+        n = len(sizes)
+        arrays = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp), np.array(probs, float)
+        return _table_dataset(4, *arrays, sizes, [1] * n, [f"g{i}" for i in range(n)])
+
+    def test_valid_entries(self):
+        ds = self.build([2, 0, 1], [3, 1, 3], [0.5, 1.0, 0.25], [0, 2, 1])
+        want = [{}, {(2, 3): 0.5, (0, 1): 1.0}, {(1, 3): 0.25}]
+        assert [list(g.edges.items()) for g in ds.graphs] == [list(w.items()) for w in want]
+        assert ds == ug.Dataset(4, tuple(ug.UncertainGraph(4, w) for w in want), (1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "lo, hi, probs, match",
+        [
+            ([0, -1], [1, 2], [0.5, 0.5], r"graph 2: edge \(-1, 2\) not canonical"),
+            ([0, 2], [1, 2], [0.5, 0.5], r"graph 2: edge \(2, 2\) not canonical"),
+            ([0, 1], [1, 4], [0.5, 0.5], r"graph 2: edge \(1, 4\) not canonical"),
+            ([0, 1], [1, 2], [0.5, 0.0], r"graph 2: edge \(1, 2\) has probability 0.0"),
+            ([0, 1], [1, 2], [1.5, 0.5], r"graph 1: edge \(0, 1\) has probability 1.5"),
+            ([0, 1], [1, 2], [0.5, math.nan], "graph 2: .* probability nan"),
+            ([1, 0, 0], [2, 1, 1], [0.5, 0.5, 0.5], r"graph 2: edge \(0, 1\) listed twice"),
+        ],
+    )
+    def test_bad_entries(self, lo, hi, probs, match):
+        """Graph 0 is empty, graph 1 holds the first entry and graph 2 the rest."""
+        with pytest.raises(ValueError, match=match):
+            self.build(lo, hi, probs, [0, 1, len(lo) - 1])
+
+    def test_same_edge_in_two_graphs(self):
+        ds = self.build([0, 0], [1, 1], [0.5, 0.25], [1, 1])
+        assert [g.edges for g in ds.graphs] == [{(0, 1): 0.5}, {(0, 1): 0.25}]
+
+
+def test_integer_probability_written_as_float():
+    """A hand-built graph's ``int`` probability is written as a float, which
+    parses to an equal dataset; the dict-based writer wrote the ``int``."""
+    ds = ug.Dataset(3, (ug.UncertainGraph(3, {(1, 2): 1, (0, 1): 0.5}),), (1,))
+    data = ug.serialize_dataset(ds)
+    assert b'"edges": [[0, 1, 0.5], [1, 2, 1.0]]' in data
+    assert reference_serialize(ds) == data.replace(b"1.0]", b"1]")
+    assert ug.parse_dataset(data) == ds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_serialize_matches_reference(data):
+    """The table writer gives the bytes of the dict-based writer: on built
+    datasets whose graphs list their edges in any order, with float labels,
+    any ids, empty graphs and no graphs, endpoints past int64; on their
+    subsets given as repeated and reordered indices; and on parsed datasets."""
+    nodes = [0, 1, 2, 3] + data.draw(st.sampled_from([[], [2**64, 2**70]]))
+    num_nodes = nodes[-1] + 1
+    edge = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda e: e[0] < e[1])
+    probability = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([1.0, 0.1, 5e-324])
+    dicts = data.draw(st.lists(st.dictionaries(edge, probability, max_size=6), max_size=5))
+    labels = [data.draw(st.sampled_from([1, -1, 1.0, -1.0])) for _ in dicts]
+    gid = st.text(alphabet=st.sampled_from('a"\\\x00\x1f\n\u00e9\u2603\U0001f600\ud800'), max_size=4)
+    ids = [data.draw(gid) for _ in dicts]
+    graphs = tuple(ug.UncertainGraph(num_nodes, d) for d in dicts)
+    made = ug.Dataset(num_nodes, graphs, tuple(labels), tuple(ids))
+    indices = data.draw(st.lists(st.integers(0, len(dicts) - 1), max_size=7) if dicts else st.just([]))
+    parsed = ug.parse_dataset(reference_serialize(made))
+    for ds in (made, parsed):
+        for d in (ds, ds.subset(indices)):
+            assert ug.serialize_dataset(d) == reference_serialize(d)
 
 
 @st.composite

@@ -1,9 +1,11 @@
-import math
+import hashlib
 
+import numpy as np
 import pytest
 
 import ugmine as ug
-from conftest import DATA_DIR, reference_parse
+from conftest import DATA_DIR, reference_generate, reference_parse
+from ugmine.cli import main
 
 PLANTED = ug.Subgraph.from_edges([(0, 1), (1, 2), (2, 3)])
 
@@ -70,6 +72,18 @@ class TestGenerate:
         neg_mean = sum(ug.containment_probability(PLANTED, g) for g in ds.neg) / ds.n_neg
         assert pos_mean == neg_mean == 0.5**3
 
+    def test_planted_edges_drawn_as_background_keep_their_slot(self):
+        """A planted edge that is also drawn as background takes the planted
+        probability where it was drawn; the rest follow in planted order."""
+        cfg = small_cfg(background_edges_per_graph=20)
+        ds = ug.generate(cfg)
+        ref = reference_generate(cfg)
+        collided = 0
+        for g, r in zip(ds.graphs, ref.graphs):
+            assert list(g.edges.items()) == list(r.edges.items())
+            collided += list(g.edges)[-3:] != list(PLANTED.edges)
+        assert collided > 0
+
     def test_planted_signal_monotone(self):
         freqs = []
         for p in (0.3, 0.6, 0.9):
@@ -79,10 +93,89 @@ class TestGenerate:
         assert freqs[0] < freqs[1] < freqs[2]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_pos", True),
+        ("n_neg", 2.0),
+        ("num_nodes", -1),
+        ("background_edges_per_graph", -1),
+        ("background_edges_per_graph", 3.5),
+        ("seed", -1),
+        ("seed", False),
+        ("planted_prob_pos", True),
+        ("planted_prob_neg", "0.1"),
+        ("planted_prob_neg", 1.5),
+    ],
+)
+def test_config_names_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must") as info:
+        small_cfg(**{field: value})
+    assert "\n" not in str(info.value)
+
+
+def test_config_normalizes_numbers():
+    cfg = small_cfg(seed=np.int64(3), planted_prob_pos=1)
+    assert type(cfg.seed) is int and cfg.seed == 3
+    assert type(cfg.planted_prob_pos) is float and cfg.planted_prob_pos == 1.0
+
+
+# SHA-256 of `ugmine gen` output, recorded from the dict-based generator and
+# serializer that the reference tests below keep in conftest
+GOLDEN_GEN = {
+    ("fig2", 0): "393aba1945f8eb286b36e89384ddbcafb2e867ea1d7666f5e820d3b29a4f3985",
+    ("fig2", 1): "393aba1945f8eb286b36e89384ddbcafb2e867ea1d7666f5e820d3b29a4f3985",
+    ("adhd-like", 0): "85ef0d51f430a64d4b964c6d021b2a0655d328364af946ad44c064b72507524b",
+    ("adhd-like", 1): "fc60fa21909bb49454d86ce536f90448e6d77296d1c2e1954059b212eabd7306",
+    ("adni-like", 0): "6862a00205461c3882b2f0a41c7fff78664ac6bc4ed6037a1fb3a0291df81f92",
+    ("adni-like", 1): "5dc427748c92b9b8048068ceacb4c8c1c9de40cb847405ead3fff382ef671372",
+    ("hiv-like", 0): "3252f40632fe0c26b48e861728598591dc33fb047df76c564f12b00f1352ea4e",
+    ("hiv-like", 1): "376eaa329924c9f25e15916d93f6f2a70ac892d4bdf8c56b0bedea18639f2195",
+}
+GOLDEN_PLANTED = "8310437651d213fa630ff43f11f764ca4653bf16c297aa5b22b736f21da9df24"
+
+
+def gen_digest(tmp_path, *argv) -> str:
+    out = tmp_path / "gen.json"
+    assert main(["gen", *argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+class TestGenGolden:
+    @pytest.mark.parametrize("preset, seed", sorted(GOLDEN_GEN))
+    def test_presets(self, tmp_path, preset, seed):
+        assert gen_digest(tmp_path, "--preset", preset, "--seed", str(seed)) == GOLDEN_GEN[preset, seed]
+
+    def test_planted_flags(self, tmp_path):
+        argv = ["--preset", "adhd-like", "--planted-prob-pos", "0.7", "--planted-prob-neg", "0.3"]
+        assert gen_digest(tmp_path, *argv) == GOLDEN_PLANTED
+
+
+@pytest.mark.parametrize("preset", [p for p in ug.PRESETS if p != "fig2"])
+@pytest.mark.parametrize("planted", [{}, {"planted_prob_pos": 0.7, "planted_prob_neg": 0.3}])
+def test_generate_matches_reference(preset, planted):
+    """Every graph lists the edges and probabilities of the dict-based
+    generator, in its order, and the stats agree bit for bit."""
+    for seed in range(4):
+        cfg = ug.preset_config(preset, seed=seed, **planted)
+        ds, ref = ug.generate(cfg), reference_generate(cfg)
+        assert (ds.labels, ds.ids) == (ref.labels, ref.ids)
+        for g, r in zip(ds.graphs, ref.graphs, strict=True):
+            assert list(g.edges.items()) == list(r.edges.items())
+        got, want = ug.dataset_stats(ds), ug.dataset_stats(ref)
+        assert got.mean_edges.hex() == want.mean_edges.hex()
+        assert got.mean_edge_prob.hex() == want.mean_edge_prob.hex()
+
+
 class TestPresets:
     def test_fig2_matches_fixture(self):
         data = ug.serialize_dataset(ug.make_preset("fig2"))
         assert data == (DATA_DIR / "fig2.json").read_bytes()
+
+    def test_fig2_takes_no_overrides(self):
+        with pytest.raises(ValueError, match="fig2.*planted_prob_pos"):
+            ug.make_preset("fig2", planted_prob_pos=0.7)
+        assert ug.make_preset("fig2", seed=5) == ug.fig2_dataset()
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):

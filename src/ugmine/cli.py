@@ -194,11 +194,14 @@ def _emit(data: str | bytes, out: str | None) -> None:
     """Write ``data`` to stdout, or to the file ``out`` when one is given."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    if out is None:
-        sys.stdout.write(data.decode("utf-8"))
-    else:
+    if out is not None:
         with open(out, "wb") as fh:
             fh.write(data)
+    elif hasattr(sys.stdout, "buffer"):  # the bytes as they are, with no str copy
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _run_mine(args: argparse.Namespace) -> int:

@@ -8,10 +8,12 @@ A dataset's edges are held once, in one flat table (``_EdgeTable``), which is
 what mining, evaluation, featurizing and ``serialize_dataset`` read.
 ``parse_dataset`` decodes each graph's edge list straight into arrays, and
 ``synth.generate`` draws its graphs as arrays; both hand them to one builder
-(``_table_dataset``), which checks them with a few vectorized tests and fills
-the table. A graph it returns holds no edge dict until its ``edges`` is first
-read (by the oracle or by ``containment_probability``). Other modules read
-the table only through this module's functions of a dataset.
+(``_table_dataset``), which checks every entry at once and fills the table.
+``_edge_fault`` holds the same rules for one edge; the constructors use it,
+and the parser words its errors with it. A graph the builder returns holds
+no edge dict until its ``edges`` is first read (by the oracle or by
+``containment_probability``). Other modules read the table only through
+this module's functions of a dataset.
 
 This module also owns the reverse-search tree (Avis & Fukuda, 1996) that
 ``mine`` walks and that orders ``featurize``'s products: a subgraph's
@@ -29,7 +31,7 @@ import json
 import math
 import operator
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,10 +63,27 @@ def _nonnegative_int(value, name: str) -> int:
     return count
 
 
-def _check_edge(e: Edge, num_nodes: int, where: str) -> None:
-    u, v = e
-    if not (0 <= u < v < num_nodes):
-        raise ValueError(f"{where}: edge ({u}, {v}) not canonical for {num_nodes} nodes")
+def _edge_fault(u, v, p, num_nodes: int, seen: Container[Edge] = ()) -> str | None:
+    """Why ``(u, v)``, listed either way round, with probability ``p`` is no
+    edge on ``num_nodes`` nodes besides the edges ``seen``, or None."""
+    # exact type tests: bool subclasses int, but serializes as true/false
+    if type(u) is not int or type(v) is not int:
+        return "endpoints must be integers"
+    if u == v:
+        return f"self-loop ({u}, {v})"
+    if type(p) is not float and (not isinstance(p, (int, float)) or isinstance(p, bool)):
+        return "probability must be a number"
+    if not (0.0 < p <= 1.0):  # NaN fails too
+        try:
+            p = float(p)
+        except OverflowError:  # an integer beyond the float range
+            p = math.inf if p > 0 else -math.inf
+        return f"probability {p} out of range (0, 1]"
+    if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+        return f"endpoints ({u}, {v}) outside [0, {num_nodes})"
+    if seen and (min(u, v), max(u, v)) in seen:
+        return f"duplicate edge ({min(u, v)}, {max(u, v)})"
+    return None
 
 
 @dataclass(frozen=True)
@@ -88,20 +107,10 @@ class UncertainGraph:
         object.__setattr__(self, "edges", dict(self.edges))
         num_nodes = _nonnegative_int(self.num_nodes, "num_nodes")
         object.__setattr__(self, "num_nodes", num_nodes)
-        for e, p in self.edges.items():
-            u, v = e
-            # exact type tests: bool subclasses int, but serializes as true/false
-            if type(u) is not int or type(v) is not int:
-                raise ValueError(f"edge {e!r}: endpoints must be integers")
-            if not (0 <= u < v < num_nodes):
-                raise ValueError(
-                    f"uncertain graph: edge ({u}, {v}) not canonical for {num_nodes} nodes"
-                )
-            if type(p) is not float and (not isinstance(p, (int, float)) or isinstance(p, bool)):
-                raise ValueError(f"edge {e}: probability must be a number, got {p!r}")
-            # NaN fails the first comparison
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"edge {e}: probability {p!r} out of range (0, 1]")
+        for (u, v), p in self.edges.items():
+            fault = _edge_fault(u, v, p, num_nodes)
+            if fault or u > v:
+                raise ValueError(f"uncertain graph: edge {(u, v)!r}: {fault or 'not ascending'}")
 
     @classmethod
     def _row_of(cls, num_nodes: int, table: _EdgeTable, row: int) -> "UncertainGraph":
@@ -130,8 +139,10 @@ class CertainGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", frozenset(self.edges))
-        for e in self.edges:
-            _check_edge(e, self.num_nodes, "certain graph")
+        for u, v in self.edges:
+            fault = _edge_fault(u, v, 1.0, self.num_nodes)
+            if fault or u > v:
+                raise ValueError(f"certain graph: edge {(u, v)!r}: {fault or 'not ascending'}")
 
     @classmethod
     def _trusted(cls, num_nodes: int, edges: list[Edge], ends: np.ndarray) -> "CertainGraph":
@@ -467,19 +478,6 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
 _KEY_BASE_MAX = math.isqrt(2**63 - 1)
 
 
-def _edge_order(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """An order that sorts the edges (lo[k], hi[k]) ascending, for endpoints
-    0 <= lo, hi; copies of one edge come out in any order.
-
-    Sorts one int64 key per edge when no key can overflow, and otherwise
-    lexsorts, which compares the endpoints themselves.
-    """
-    base = int(hi.max()) + 1 if len(hi) else 0
-    if lo.dtype != object and base <= _KEY_BASE_MAX:
-        return np.argsort(lo * base + hi)
-    return np.lexsort((hi, lo))
-
-
 class _EdgeTable:
     """Every edge entry of a list of graphs, as flat arrays.
 
@@ -494,14 +492,19 @@ class _EdgeTable:
 
     The one builder takes every entry's canonical endpoints (``lo`` < ``hi``)
     and probability, graph after graph, and the number of entries of each
-    graph. ``parse_dataset`` passes the arrays it decoded; ``Dataset`` passes
-    its graphs' edge dicts, flattened by ``_flatten``.
+    graph. ``_table_dataset`` passes the entries it checked; ``Dataset``
+    passes its graphs' edge dicts, flattened by ``_flatten``.
     """
 
     def __init__(
         self, lo: np.ndarray, hi: np.ndarray, probs: np.ndarray, sizes: Sequence[int]
     ) -> None:
-        order = _edge_order(lo, hi)
+        # sort one int64 key per entry when none can overflow; else lexsort the endpoints
+        base = int(hi.max()) + 1 if len(hi) else 0
+        if lo.dtype != object and base <= _KEY_BASE_MAX:
+            order = np.argsort(lo * base + hi)
+        else:
+            order = np.lexsort((hi, lo))
         lo, hi = lo[order], hi[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
@@ -652,42 +655,54 @@ def _flatten(
     )
 
 
+class _BadGraph(ValueError):
+    """``_table_dataset``'s error: graph ``graph`` breaks an edge rule."""
+
+    def __init__(self, graph: int, why: str) -> None:
+        super().__init__(f"graph {graph}: {why}")
+        self.graph = graph
+
+
 def _table_dataset(
     num_nodes: int,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    us: np.ndarray,
+    vs: np.ndarray,
     probs: np.ndarray,
     sizes: Sequence[int],
     labels: Sequence[int],
     ids: Sequence[str],
 ) -> Dataset:
-    """The dataset of the graphs whose entries ``_EdgeTable`` takes as given,
-    with their labels and ids; its graphs are rows of one new edge table.
+    """The dataset of the graphs whose entries are the edges ``(us[k], vs[k])``,
+    listed either way round, with probability ``probs[k]`` (``sizes[r]``
+    entries for graph r), and their labels and ids, as rows of one new table.
 
-    A few vectorized tests stand in for ``UncertainGraph``'s per-edge ones:
-    each entry must have 0 <= lo < hi < num_nodes and a probability in
-    (0, 1], and no graph may list one edge twice. ValueError names the
-    graph of the first bad entry.
+    ``_edge_fault``'s rules, run once over every entry: with lo < hi the
+    ordered endpoints, 0 <= lo, hi < num_nodes, p in (0, 1], and no edge
+    twice in a graph. ``_BadGraph`` names the lowest graph that breaks one.
     """
-    starts = np.cumsum(sizes) - sizes
-
-    def fail(k: int, why: str) -> None:
-        graph = int(np.searchsorted(starts, k, side="right")) - 1
-        raise ValueError(f"graph {graph}: edge ({lo[k]}, {hi[k]}) {why}")
-
-    bad = np.flatnonzero(~((0 <= lo) & (lo < hi) & (hi < num_nodes)))
-    if len(bad):
-        fail(bad[0], f"not canonical for {num_nodes} nodes")
-    # NaN fails both tests
-    bad = np.flatnonzero(~((0.0 < probs) & (probs <= 1.0)))
-    if len(bad):
-        fail(bad[0], f"has probability {float(probs[bad[0]])!r} out of range (0, 1]")
-    table = _EdgeTable(lo, hi, probs, sizes)
+    lo, hi = us, vs
+    if (us > vs).any():  # order copies, so that the caller's arrays keep the listing
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    # NaN fails both probability tests
+    bad = np.flatnonzero(
+        ~((0 <= lo) & (lo < hi) & (hi < num_nodes) & (0.0 < probs) & (probs <= 1.0))
+    )
+    # only the graphs before that of the first bad entry, which pass, go into the table
+    count = int(np.searchsorted(np.cumsum(sizes), bad[0], side="right")) if len(bad) else len(sizes)
+    stop = int(np.sum(sizes[:count]))
+    table = _EdgeTable(lo[:stop], hi[:stop], probs[:stop], sizes[:count])
     keys = np.sort(table._entry_keys())
     twice = np.flatnonzero(keys[1:] == keys[:-1])
     if len(twice):
         graph, col = divmod(int(keys[twice[0]]), len(table.edges))
-        raise ValueError(f"graph {graph}: edge {table.edges[col]} listed twice")
+        raise _BadGraph(graph, f"edge {table.edges[col]} listed twice")
+    if len(bad):
+        k = bad[0]
+        if 0 <= lo[k] < hi[k] < num_nodes:
+            why = f"has probability {float(probs[k])!r} out of range (0, 1]"
+        else:
+            why = f"not canonical for {num_nodes} nodes"
+        raise _BadGraph(count, f"edge ({us[k]}, {vs[k]}) {why}")
     graphs = tuple(UncertainGraph._row_of(num_nodes, table, r) for r in range(len(sizes)))
     dataset = Dataset(num_nodes, graphs, tuple(labels), tuple(ids))
     dataset.__dict__["_edge_table"] = (table, np.arange(len(graphs)))
@@ -714,20 +729,6 @@ class _EdgeList:
 
     def __repr__(self) -> str:
         return repr(self.entries())
-
-    def canonical(self, num_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The entries' canonical endpoints and probabilities, or None when
-        some entry breaks a rule of ``_check_edges``."""
-        lo, hi = np.minimum(self.us, self.vs), np.maximum(self.us, self.vs)
-        # NaN fails both probability tests
-        ok = (0 <= lo) & (lo < hi) & (hi < num_nodes) & (0.0 < self.ps) & (self.ps <= 1.0)
-        if not ok.all():
-            return None
-        order = _edge_order(lo, hi)
-        a, b = lo[order], hi[order]
-        if ((a[1:] == a[:-1]) & (b[1:] == b[:-1])).any():
-            return None
-        return lo, hi, self.ps
 
 
 _DECODED_TYPES = (np.intp, np.intp, np.float64)
@@ -767,36 +768,21 @@ def _check_edges(i: int, raw_edges: list, num_nodes: int) -> dict[Edge, float]:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise DatasetFormatError(f"graph {i}, edge {j}: expected [u, v, p]")
         u, v, p = entry
-        if type(u) is not int or type(v) is not int:
-            raise DatasetFormatError(f"graph {i}, edge {j}: endpoints must be integers")
-        if u == v:
-            raise DatasetFormatError(f"graph {i}, edge {j}: self-loop ({u}, {v})")
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise DatasetFormatError(f"graph {i}, edge {j}: probability must be a number")
-        try:
-            p = float(p)
-        except OverflowError:  # an integer beyond the float range
-            p = math.inf if p > 0 else -math.inf
-        if not (0.0 < p <= 1.0) or math.isnan(p):
-            raise DatasetFormatError(f"graph {i}, edge {j}: probability {p} out of range (0, 1]")
-        e = (u, v) if u < v else (v, u)
-        if not (0 <= e[0] and e[1] < num_nodes):
-            raise DatasetFormatError(
-                f"graph {i}, edge {j}: endpoints ({u}, {v}) outside [0, {num_nodes})"
-            )
-        if e in edges:
-            raise DatasetFormatError(f"graph {i}, edge {j}: duplicate edge ({e[0]}, {e[1]})")
-        edges[e] = p
+        fault = _edge_fault(u, v, p, num_nodes, edges)
+        if fault:
+            raise DatasetFormatError(f"graph {i}, edge {j}: {fault}")
+        edges[(u, v) if u < v else (v, u)] = float(p)
     return edges
 
 
 def parse_dataset(text: bytes | str) -> Dataset:
     """Parse the JSON dataset format; raises DatasetFormatError with context.
 
-    Graphs are read in order. A graph whose edge list was decoded into
-    arrays and passes the vectorized checks goes straight into the edge
-    table; any other graph is checked entry by entry by ``_check_edges``,
-    which raises the error of its first bad entry.
+    A graph whose edge list was decoded into arrays goes to the builder,
+    ``_table_dataset``, as decoded; any other is checked by ``_check_edges``
+    as it is read. The error is the first bad graph's: ``_check_edges``
+    rechecks the graph the builder names, as listed, for its message, and the
+    graphs before graph i when reading graph i fails.
     """
     # ValueError covers bad UTF-8, bad JSON and an integer of more digits than
     # int() converts; RecursionError, JSON nested too deep
@@ -806,6 +792,7 @@ def parse_dataset(text: bytes | str) -> Dataset:
         obj = json.loads(text, object_hook=_decode_edges)
     except (ValueError, RecursionError) as exc:
         raise DatasetFormatError(f"malformed JSON: {exc}") from exc
+    del text  # free the decoded str before the table is built
     if not isinstance(obj, dict):
         raise DatasetFormatError("top level must be a JSON object")
     num_nodes = obj.get("num_nodes")
@@ -823,30 +810,38 @@ def parse_dataset(text: bytes | str) -> Dataset:
     for i in range(len(raw_graphs)):
         # drop each raw entry once read, so its arrays are freed once copied
         item, raw_graphs[i] = raw_graphs[i], None
-        if not isinstance(item, dict):
-            raise DatasetFormatError(f"graph {i}: entry must be an object")
-        label = item.get("label")
-        if isinstance(label, bool) or label not in (1, -1):
-            raise DatasetFormatError(f"graph {i}: label must be 1 or -1, got {label!r}")
-        gid = item.get("id", f"g{i}")
-        if not isinstance(gid, str):
-            raise DatasetFormatError(f"graph {i}: id must be a string")
-        raw_edges = item.get("edges")
-        if type(raw_edges) is _EdgeList:
-            part = raw_edges.canonical(num_nodes)
-            if part is None:  # some entry breaks a rule: raise its error
-                part = _flatten([_check_edges(i, raw_edges.entries(), num_nodes)])
-        elif isinstance(raw_edges, list):
-            part = _flatten([_check_edges(i, raw_edges, num_nodes)])
-        else:
-            raise DatasetFormatError(f"graph {i}: edges must be a list")
+        try:
+            if not isinstance(item, dict):
+                raise DatasetFormatError(f"graph {i}: entry must be an object")
+            label = item.get("label")
+            if isinstance(label, bool) or label not in (1, -1):
+                raise DatasetFormatError(f"graph {i}: label must be 1 or -1, got {label!r}")
+            gid = item.get("id", f"g{i}")
+            if not isinstance(gid, str):
+                raise DatasetFormatError(f"graph {i}: id must be a string")
+            raw_edges = item.get("edges")
+            if type(raw_edges) is _EdgeList:
+                part = raw_edges.us, raw_edges.vs, raw_edges.ps
+            elif isinstance(raw_edges, list):
+                part = _flatten([_check_edges(i, raw_edges, num_nodes)])
+            else:
+                raise DatasetFormatError(f"graph {i}: edges must be a list")
+        except DatasetFormatError:  # a bad graph before graph i raises its error first
+            for k, arrays in enumerate(parts[1:]):
+                _check_edges(k, _EdgeList(*arrays, None).entries(), num_nodes)
+            raise
         parts.append(part)
         labels.append(label)
         ids.append(gid)
-    lo, hi, probs = map(np.concatenate, zip(*parts))
+    us, vs, probs = map(np.concatenate, zip(*parts))
     sizes = [len(part[0]) for part in parts[1:]]
     del parts
-    return _table_dataset(num_nodes, lo, hi, probs, sizes, labels, ids)
+    try:
+        return _table_dataset(num_nodes, us, vs, probs, sizes, labels, ids)
+    except _BadGraph as exc:  # the entry-by-entry check words the error
+        at = slice(sum(sizes[: exc.graph]), sum(sizes[: exc.graph + 1]))
+        _check_edges(exc.graph, _EdgeList(us[at], vs[at], probs[at], None).entries(), num_nodes)
+        raise  # not reached: the scalar rules fail where the vectorized ones do
 
 
 def serialize_dataset(dataset: Dataset) -> bytes:

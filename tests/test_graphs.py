@@ -276,6 +276,28 @@ ERROR_ORDER_EXAMPLES = [
     {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 2, 0.5], [True, False, 0.5]]}]},
     {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 2, 0.5], [0, 1, True]]}]},
     {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 2, 0.5], [0.0, 1.0, 0.5]]}]},
+    # a graph decoded into arrays with an endpoint out of range, then a bad label
+    {"num_nodes": 3, "graphs": [
+        {"label": 1, "edges": [[0, 1, 0.5], [1, 7, 0.5]]},
+        {"label": 2, "edges": [[0, 1, 0.5]]},
+    ]},
+    # a duplicate in one decoded graph, then an endpoint out of range in the next
+    {"num_nodes": 3, "graphs": [
+        {"label": 1, "edges": [[0, 1, 0.5], [1, 0, 0.5]]},
+        {"label": -1, "edges": [[0, 9, 0.5]]},
+    ]},
+    # an endpoint out of range in one decoded graph, then a duplicate in the next
+    {"num_nodes": 3, "graphs": [
+        {"label": 1, "edges": [[2, 5, 0.5]]},
+        {"label": -1, "edges": [[0, 1, 0.5], [1, 0, 0.5]]},
+    ]},
+    # an entry out of range whose endpoints are listed high to low
+    {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 1, 0.5], [5, 0, 0.5]]}]},
+    # a decoded graph with a NaN, then a graph left as decoded with a bool endpoint
+    {"num_nodes": 3, "graphs": [
+        {"label": 1, "edges": [[2, 1, math.nan]]},
+        {"label": 1, "edges": [[0, True, 0.5]]},
+    ]},
 ]
 
 
@@ -316,6 +338,21 @@ class TestParseIntoTable:
         finally:
             tracemalloc.stop()
         assert peak < 15.2e6
+
+    def test_traced_peak_of_parse_adhd(self):
+        """Parsing adhd-like seed 0 frees the decoded text, the per-graph
+        arrays and the whole-entry masks before the edge table is built, and
+        copies no endpoints of entries listed low to high: its traced peak
+        (6.0 MB) stays well below the 8.97 MB of a parser that checked each
+        graph twice and kept the text."""
+        data = ug.serialize_dataset(ug.make_preset("adhd-like", seed=0))
+        tracemalloc.start()
+        try:
+            ug.parse_dataset(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.0e6
 
     def test_mine_evaluate_featurize_build_no_edge_dict(self, monkeypatch):
         built = []
@@ -372,6 +409,13 @@ class TestConstructorsMatchParser:
     def test_bool_endpoints_rejected(self):
         with pytest.raises(ValueError, match="endpoints must be integers"):
             ug.UncertainGraph(2, {(False, True): 0.5})
+
+    def test_descending_key_rejected(self):
+        """The parser orders a listed (1, 0); a constructor refuses the key."""
+        with pytest.raises(ValueError, match=r"edge \(1, 0\): not ascending"):
+            ug.UncertainGraph(2, {(1, 0): 0.5})
+        with pytest.raises(ValueError, match=r"edge \(2, 1\): not ascending"):
+            ug.CertainGraph(3, frozenset({(0, 1), (2, 1)}))
 
     def test_bool_num_nodes_and_id_rejected(self):
         with pytest.raises(ValueError, match="num_nodes"):
@@ -805,6 +849,37 @@ class TestTableDataset:
     def test_same_edge_in_two_graphs(self):
         ds = self.build([0, 0], [1, 1], [0.5, 0.25], [1, 1])
         assert [g.edges for g in ds.graphs] == [{(0, 1): 0.5}, {(0, 1): 0.25}]
+
+    def test_endpoints_listed_high_to_low(self):
+        """Entries listed (hi, lo) build the dataset of their canonical listing."""
+        ds = self.build([3, 1, 3], [2, 0, 1], [0.5, 1.0, 0.25], [0, 2, 1])
+        want = self.build([2, 0, 1], [3, 1, 3], [0.5, 1.0, 0.25], [0, 2, 1])
+        assert [list(g.edges.items()) for g in ds.graphs] == [
+            list(g.edges.items()) for g in want.graphs
+        ]
+        assert ds == want
+        (table, _), (want_table, _) = ds._edge_table, want._edge_table
+        assert table.edges == want_table.edges
+        for name in ("cols", "probs", "offsets", "ends"):
+            assert np.array_equal(getattr(table, name), getattr(want_table, name))
+
+    @pytest.mark.parametrize(
+        "lo, hi, probs, sizes, match",
+        [
+            ([0, 1, 0], [1, 0, 9], [0.5] * 3, [2, 1], r"graph 0: edge \(0, 1\) listed twice"),
+            ([0, 1, 0], [1, 0, 1], [0.5, 0.5, 0.0], [2, 1], r"graph 0: edge \(0, 1\) listed twice"),
+            (
+                [0, 1, 0], [1, 2, 9], [0.5, 1.5, 0.5], [2, 1],
+                r"graph 0: edge \(1, 2\) has probability 1.5",
+            ),
+            ([0, 0, 9], [1, 2, 0], [0.5] * 3, [2, 1], r"graph 1: edge \(9, 0\) not canonical"),
+            ([0, 0, 1], [9, 1, 0], [0.5] * 3, [1, 2], r"graph 0: edge \(0, 9\) not canonical"),
+        ],
+    )
+    def test_lowest_bad_graph_reported(self, lo, hi, probs, sizes, match):
+        """Whatever the rules broken, the lower of two bad graphs is named."""
+        with pytest.raises(ValueError, match=match):
+            self.build(lo, hi, probs, sizes)
 
 
 def test_integer_probability_written_as_float():

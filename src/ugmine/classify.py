@@ -22,6 +22,7 @@ of training it alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -173,6 +174,8 @@ def evaluate(
     Splits where mining yields no features fall back to predicting the
     training-majority class.
     """
+    if isinstance(repeats, bool) or not isinstance(repeats, Integral) or repeats < 1:
+        raise ValueError("repeats must be >= 1")
     if dataset.n_pos < 2 or dataset.n_neg < 2:
         raise ValueError("evaluation needs at least two graphs per class")
     if not (0.0 < train_fraction < 1.0):

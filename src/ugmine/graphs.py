@@ -1,8 +1,9 @@
 """Uncertain and certain graphs over a shared, integer-labeled node universe.
 
-All graphs in a dataset share one node set {0, ..., num_nodes-1}; node labels
-are the indices themselves. Because labels are unique, a subgraph has at most
-one embedding in any graph, so containment reduces to edge-set inclusion.
+All graphs in a dataset share one node set {0, ..., num_nodes-1}, with
+num_nodes at most 2^31 (``_MAX_NODES``); node labels are the indices
+themselves. Because labels are unique, a subgraph has at most one embedding
+in any graph, so containment reduces to edge-set inclusion.
 
 A dataset's edges are held once, in one flat table (``_EdgeTable``), which is
 what mining, evaluation, featurizing and ``serialize_dataset`` read.
@@ -63,6 +64,18 @@ def _nonnegative_int(value, name: str) -> int:
     return count
 
 
+# the most nodes a graph may have: labels fit int32, and edge keys int64
+_MAX_NODES = 2**31
+
+
+def _node_count(value) -> int:
+    """``value`` as a number of nodes: a nonnegative integer, at most ``_MAX_NODES``."""
+    count = _nonnegative_int(value, "num_nodes")
+    if count > _MAX_NODES:
+        raise ValueError(f"num_nodes must be at most {_MAX_NODES}, got {value!r}")
+    return count
+
+
 def _edge_fault(u, v, p, num_nodes: int, seen: Container[Edge] = ()) -> str | None:
     """Why ``(u, v)``, listed either way round, with probability ``p`` is no
     edge on ``num_nodes`` nodes besides the edges ``seen``, or None."""
@@ -105,10 +118,9 @@ class UncertainGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", dict(self.edges))
-        num_nodes = _nonnegative_int(self.num_nodes, "num_nodes")
-        object.__setattr__(self, "num_nodes", num_nodes)
+        object.__setattr__(self, "num_nodes", _node_count(self.num_nodes))
         for (u, v), p in self.edges.items():
-            fault = _edge_fault(u, v, p, num_nodes)
+            fault = _edge_fault(u, v, p, self.num_nodes)
             if fault or u > v:
                 raise ValueError(f"uncertain graph: edge {(u, v)!r}: {fault or 'not ascending'}")
 
@@ -139,6 +151,7 @@ class CertainGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "num_nodes", _node_count(self.num_nodes))
         for u, v in self.edges:
             fault = _edge_fault(u, v, 1.0, self.num_nodes)
             if fault or u > v:
@@ -167,18 +180,9 @@ class CertainGraph:
         return sorted({columns.edges[j] for n in nodes for j in columns.incident[n].tolist()} - own)
 
 
-def _node_array(nodes: Sequence[int]) -> np.ndarray:
-    """``nodes`` as an intp array; an object array of Python ints if one is past
-    the machine range."""
-    try:
-        return np.array(nodes, dtype=np.intp)
-    except OverflowError:
-        return np.array(nodes, dtype=object)
-
-
 def _endpoints(edges: list[Edge]) -> np.ndarray:
     """The endpoints of ``edges``, one row per edge."""
-    return _node_array(list(itertools.chain.from_iterable(edges))).reshape(-1, 2)
+    return np.array(list(itertools.chain.from_iterable(edges)), np.intp).reshape(-1, 2)
 
 
 class EdgeColumns:
@@ -397,7 +401,7 @@ class Dataset:
             raise ValueError("labels and graphs must have equal length")
         if len(self.ids) != len(self.graphs):
             raise ValueError("ids and graphs must have equal length")
-        object.__setattr__(self, "num_nodes", _nonnegative_int(self.num_nodes, "num_nodes"))
+        object.__setattr__(self, "num_nodes", _node_count(self.num_nodes))
         for i, y in enumerate(self.labels):
             # exact type tests: a bool or a numpy integer is no JSON number
             if type(y) not in (int, float) or y not in (1, -1):
@@ -447,8 +451,10 @@ class Dataset:
         order. A dataset made from ``UncertainGraph`` objects builds it on
         first use, from their edge dicts.
         """
+        ends = _endpoints([e for g in self.graphs for e in g.edges])
+        probs = np.array([p for g in self.graphs for p in g.edges.values()], np.float64)
         sizes = [len(g.edges) for g in self.graphs]
-        return _EdgeTable(*_flatten([g.edges for g in self.graphs]), sizes), np.arange(len(sizes))
+        return _EdgeTable(ends[:, 0], ends[:, 1], probs, sizes), np.arange(len(sizes))
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """The graphs at ``indices``, in that order, with their labels and ids.
@@ -474,10 +480,6 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.arange(len(k)) + (starts - np.cumsum(sizes) + sizes)[k], k
 
 
-# the largest base b for which every key lo * b + hi with 0 <= lo, hi < b fits int64
-_KEY_BASE_MAX = math.isqrt(2**63 - 1)
-
-
 class _EdgeTable:
     """Every edge entry of a list of graphs, as flat arrays.
 
@@ -492,19 +494,16 @@ class _EdgeTable:
 
     The one builder takes every entry's canonical endpoints (``lo`` < ``hi``)
     and probability, graph after graph, and the number of entries of each
-    graph. ``_table_dataset`` passes the entries it checked; ``Dataset``
-    passes its graphs' edge dicts, flattened by ``_flatten``.
+    graph. ``_table_dataset`` passes the entries it checked, and ``Dataset``
+    its graphs' edge dicts.
     """
 
     def __init__(
         self, lo: np.ndarray, hi: np.ndarray, probs: np.ndarray, sizes: Sequence[int]
     ) -> None:
-        # sort one int64 key per entry when none can overflow; else lexsort the endpoints
+        # one key per entry; it fits int64, as every label is below _MAX_NODES
         base = int(hi.max()) + 1 if len(hi) else 0
-        if lo.dtype != object and base <= _KEY_BASE_MAX:
-            order = np.argsort(lo * base + hi)
-        else:
-            order = np.lexsort((hi, lo))
+        order = np.argsort(lo * base + hi)
         lo, hi = lo[order], hi[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
@@ -641,20 +640,6 @@ def union_graph(dataset: Dataset, counts: np.ndarray | None = None) -> CertainGr
     return CertainGraph._trusted(dataset.num_nodes, edges, table.ends[union])
 
 
-def _flatten(
-    edge_dicts: Sequence[Mapping[Edge, float]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The canonical endpoints and probabilities of the entries of ``edge_dicts``,
-    one after another, as ``_EdgeTable`` takes them."""
-    keys = [e for edges in edge_dicts for e in edges]
-    probs = itertools.chain.from_iterable(edges.values() for edges in edge_dicts)
-    return (
-        _node_array([u for u, _ in keys]),
-        _node_array([v for _, v in keys]),
-        np.fromiter(probs, np.float64, len(keys)),
-    )
-
-
 class _BadGraph(ValueError):
     """``_table_dataset``'s error: graph ``graph`` breaks an edge rule."""
 
@@ -739,9 +724,10 @@ def _decode_edges(obj: dict) -> dict:
     [u, v, p] entries as an ``_EdgeList``, so that no graph's decoded lists
     outlive its object.
 
-    Well-typed means ``int`` endpoints within int64 and an ``int`` or
-    ``float`` probability within the float range; any other ``edges`` value
-    is left as decoded, for ``_check_edges`` to judge.
+    Well-typed means ``int`` endpoints that fit intp and an ``int`` or
+    ``float`` probability within the float range. Any other ``edges`` value
+    is left as decoded; a nonempty list left so breaks a rule, as a label
+    past intp is no node and a number past the float range no probability.
     """
     edges = obj.get("edges")
     if type(edges) is not list or not edges:
@@ -760,29 +746,28 @@ def _decode_edges(obj: dict) -> dict:
     return obj
 
 
-def _check_edges(i: int, raw_edges: list, num_nodes: int) -> dict[Edge, float]:
-    """Graph ``i``'s edges, checked entry by entry; raises DatasetFormatError
+def _check_edges(i: int, raw_edges: list, num_nodes: int) -> None:
+    """Check graph ``i``'s edge list entry by entry; raises DatasetFormatError
     at the first entry that breaks a rule."""
-    edges: dict[Edge, float] = {}
+    seen: set[Edge] = set()
     for j, entry in enumerate(raw_edges):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise DatasetFormatError(f"graph {i}, edge {j}: expected [u, v, p]")
         u, v, p = entry
-        fault = _edge_fault(u, v, p, num_nodes, edges)
+        fault = _edge_fault(u, v, p, num_nodes, seen)
         if fault:
             raise DatasetFormatError(f"graph {i}, edge {j}: {fault}")
-        edges[(u, v) if u < v else (v, u)] = float(p)
-    return edges
+        seen.add((u, v) if u < v else (v, u))
 
 
 def parse_dataset(text: bytes | str) -> Dataset:
     """Parse the JSON dataset format; raises DatasetFormatError with context.
 
-    A graph whose edge list was decoded into arrays goes to the builder,
-    ``_table_dataset``, as decoded; any other is checked by ``_check_edges``
-    as it is read. The error is the first bad graph's: ``_check_edges``
-    rechecks the graph the builder names, as listed, for its message, and the
-    graphs before graph i when reading graph i fails.
+    Every valid graph's edge list was decoded into arrays, and goes to the
+    builder, ``_table_dataset``, as decoded; a nonempty list left undecoded
+    fails ``_check_edges`` as it is read. The error is the first bad graph's:
+    ``_check_edges`` rechecks the graph the builder names, as listed, for its
+    message, and the graphs before graph i when reading graph i fails.
     """
     # ValueError covers bad UTF-8, bad JSON and an integer of more digits than
     # int() converts; RecursionError, JSON nested too deep
@@ -795,16 +780,17 @@ def parse_dataset(text: bytes | str) -> Dataset:
     del text  # free the decoded str before the table is built
     if not isinstance(obj, dict):
         raise DatasetFormatError("top level must be a JSON object")
-    num_nodes = obj.get("num_nodes")
-    # exact type tests: bool subclasses int, but JSON true/false are no integers
-    if type(num_nodes) is not int or num_nodes < 0:
-        raise DatasetFormatError("num_nodes must be a nonnegative integer")
+    try:
+        num_nodes = _node_count(obj.get("num_nodes"))
+    except ValueError:
+        raise DatasetFormatError(f"num_nodes must be a nonnegative integer, at most {_MAX_NODES}")
     raw_graphs = obj.get("graphs")
     if not isinstance(raw_graphs, list):
         raise DatasetFormatError("graphs must be a list")
 
     # the entries of every graph, after those of no graph, which fix the dtypes
-    parts = [_flatten([])]
+    no_edges = tuple(np.empty(0, t) for t in _DECODED_TYPES)
+    parts = [no_edges]
     labels: list[int] = []
     ids: list[str] = []
     for i in range(len(raw_graphs)):
@@ -822,10 +808,13 @@ def parse_dataset(text: bytes | str) -> Dataset:
             raw_edges = item.get("edges")
             if type(raw_edges) is _EdgeList:
                 part = raw_edges.us, raw_edges.vs, raw_edges.ps
-            elif isinstance(raw_edges, list):
-                part = _flatten([_check_edges(i, raw_edges, num_nodes)])
-            else:
+            elif not isinstance(raw_edges, list):
                 raise DatasetFormatError(f"graph {i}: edges must be a list")
+            elif raw_edges:
+                _check_edges(i, raw_edges, num_nodes)
+                raise AssertionError(f"graph {i}: an undecoded edge list broke no rule")
+            else:
+                part = no_edges
         except DatasetFormatError:  # a bad graph before graph i raises its error first
             for k, arrays in enumerate(parts[1:]):
                 _check_edges(k, _EdgeList(*arrays, None).entries(), num_nodes)

@@ -96,6 +96,7 @@ from .graphs import (
     _ChildList,
     _edge_counts,
     _edge_rows,
+    _nonnegative_int,
     canonical_parent,  # bound here so that a tracer can wrap it by this name
     children,
     union_graph,
@@ -120,12 +121,15 @@ class MiningConfig:
     max_edges: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "t", _nonnegative_int(self.t, "t"))
         if self.t < 1:
             raise ValueError("t must be >= 1")
-        if not (0.0 <= self.min_sup <= 1.0):
-            raise ValueError("min_sup must lie in [0, 1]")
-        if self.max_edges is not None and self.max_edges < 1:
-            raise ValueError("max_edges must be >= 1 when given")
+        if isinstance(self.min_sup, bool) or not (0.0 <= self.min_sup <= 1.0):
+            raise ValueError(f"min_sup must be a number in [0, 1], got {self.min_sup!r}")
+        if self.max_edges is not None:
+            object.__setattr__(self, "max_edges", _nonnegative_int(self.max_edges, "max_edges"))
+            if self.max_edges < 1:
+                raise ValueError("max_edges must be >= 1 when given")
 
 
 def _class_laws(

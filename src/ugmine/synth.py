@@ -19,6 +19,7 @@ from .graphs import (
     Subgraph,
     UncertainGraph,
     _listed_probabilities,
+    _node_count,
     _nonnegative_int,
     _table_dataset,
 )
@@ -41,8 +42,9 @@ class SynthConfig:
     planted_prob_neg: float
 
     def __post_init__(self) -> None:
-        for name in ("seed", "n_pos", "n_neg", "num_nodes", "background_edges_per_graph"):
+        for name in ("seed", "n_pos", "n_neg", "background_edges_per_graph"):
             object.__setattr__(self, name, _nonnegative_int(getattr(self, name), name))
+        object.__setattr__(self, "num_nodes", _node_count(self.num_nodes))
         if self.n_pos < 1 or self.n_neg < 1:
             raise ValueError("both class counts must be >= 1")
         lo, hi = self.background_prob_range

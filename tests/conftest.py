@@ -278,8 +278,8 @@ def reference_parse(text: bytes | str) -> Dataset:
     if not isinstance(obj, dict):
         raise DatasetFormatError("top level must be a JSON object")
     num_nodes = obj.get("num_nodes")
-    if type(num_nodes) is not int or num_nodes < 0:
-        raise DatasetFormatError("num_nodes must be a nonnegative integer")
+    if type(num_nodes) is not int or not 0 <= num_nodes <= 2**31:
+        raise DatasetFormatError("num_nodes must be a nonnegative integer, at most 2147483648")
     raw_graphs = obj.get("graphs")
     if not isinstance(raw_graphs, list):
         raise DatasetFormatError("graphs must be a list")
@@ -335,10 +335,7 @@ def reference_table(graphs) -> dict[str, object]:
     graph in dict order."""
     edges = sorted(set().union(*(g.edges for g in graphs)))
     flat = list(itertools.chain.from_iterable(edges))
-    try:
-        ends = np.fromiter(flat, np.intp, len(flat)).reshape(-1, 2)
-    except OverflowError:
-        ends = np.array(flat, dtype=object).reshape(-1, 2)
+    ends = np.fromiter(flat, np.intp, len(flat)).reshape(-1, 2)
     column = {e: j for j, e in enumerate(edges)}
     offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
     np.cumsum([len(g.edges) for g in graphs], out=offsets[1:])

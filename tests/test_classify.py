@@ -188,6 +188,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             ug.evaluate(ds, eval_cfg(), repeats=1)
 
+    @pytest.mark.parametrize("repeats", [0, -1, 2.5, True, "3"])
+    def test_repeats_below_one_or_not_an_integer_rejected(self, repeats):
+        with pytest.raises(ValueError, match="^repeats must be >= 1$"):
+            ug.evaluate(eval_dataset(signal=True), eval_cfg(), repeats=repeats)
+
     def test_report_fields_in_range(self):
         ds = eval_dataset(signal=True)
         report = ug.evaluate(ds, eval_cfg(), repeats=3, seed=3)

@@ -223,6 +223,13 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_num_nodes_past_the_cap(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"num_nodes": {2**31 + 1}, "graphs": []}}')
+        code, out, err = run(capsys, "stats", "--input", str(bad))
+        self.assert_one_line_error(code, out, err)
+        assert "num_nodes must be a nonnegative integer, at most 2147483648" in err
+
     def test_probability_integer_beyond_float_range(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         huge = "1" + "0" * 400

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -27,6 +28,7 @@ from ugmine.graphs import (
     EdgeColumns,
     _edge_counts,
     _edge_rows,
+    _decode_edges,
     _EdgeTable,
     _listed_probabilities,
     _table_dataset,
@@ -39,8 +41,6 @@ def union_rows(d: ug.Dataset, edges) -> np.ndarray:
 
 
 def minimal_text(edges, label=1, num_nodes=3):
-    import json
-
     return json.dumps(
         {"num_nodes": num_nodes, "graphs": [{"id": "a", "label": label, "edges": edges}]}
     )
@@ -78,6 +78,15 @@ class TestParse:
     def test_boolean_num_nodes_rejected(self):
         with pytest.raises(ug.DatasetFormatError, match="num_nodes"):
             ug.parse_dataset(minimal_text([[0, 1, 0.5]], num_nodes=True))
+
+    def test_num_nodes_past_the_cap_rejected(self):
+        """Labels are machine integers: num_nodes is at most 2^31."""
+        assert ug.parse_dataset(minimal_text([[0, 2**31 - 1, 0.5]], num_nodes=2**31))
+        with pytest.raises(
+            ug.DatasetFormatError,
+            match="^num_nodes must be a nonnegative integer, at most 2147483648$",
+        ):
+            ug.parse_dataset(minimal_text([[0, 1, 0.5]], num_nodes=2**31 + 1))
 
     def test_endpoint_outside_universe(self):
         with pytest.raises(ug.DatasetFormatError, match="graph 0, edge 0"):
@@ -144,8 +153,8 @@ def rarely(sane, odd):
     return st.integers(0, 7).flatmap(lambda k: odd if k == 0 else sane)
 
 
-# node labels and probabilities at and past the int64 and float ranges
-BIG_INTS = [2**63 - 1, 2**63, 2**64, -(2**63) - 1, 2**70]
+# node labels and probabilities at and past the node cap and the int64 and float ranges
+BIG_INTS = [2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**64, -(2**63) - 1, 2**70]
 ENDPOINTS = rarely(
     st.integers(-1, 6), st.sampled_from([True, False, 1.0, "2", None, *BIG_INTS])
 )
@@ -168,9 +177,9 @@ NOISY_ENTRIES = rarely(
 
 @st.composite
 def valid_entries(draw):
-    """Distinct edges in either orientation, over small labels or labels past
-    int64, with probabilities in (0, 1]."""
-    nodes = draw(st.sampled_from([range(6), [0, 1, 2**64, 2**64 + 1, 2**70]]))
+    """Distinct edges in either orientation, over small labels or the largest
+    labels below the cap of 2^31 nodes, with probabilities in (0, 1]."""
+    nodes = draw(st.sampled_from([range(6), [0, 1, 2**31 - 3, 2**31 - 2, 2**31 - 1]]))
     pairs = [(u, v) for u in nodes for v in nodes if u < v]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6))
     entries = []
@@ -209,11 +218,11 @@ VALID_GRAPHS = st.fixed_dictionaries(
 )
 # half the documents are valid when their labels fit num_nodes, and half are noisy
 DOCUMENTS = st.fixed_dictionaries(
-    {"num_nodes": st.sampled_from([6, 2**70]), "graphs": st.lists(VALID_GRAPHS, max_size=4)}
+    {"num_nodes": st.sampled_from([6, 2**31]), "graphs": st.lists(VALID_GRAPHS, max_size=4)}
 ) | st.fixed_dictionaries(
     {
         "num_nodes": rarely(
-            st.sampled_from([6, 2**64, 2**70]) | st.integers(0, 7),
+            st.sampled_from([6, 2**31, 2**31 + 1, 2**64, 2**70]) | st.integers(0, 7),
             st.sampled_from([-1, True, 7.0, None]),
         ),
         "graphs": st.lists(GRAPHS, max_size=4),
@@ -243,8 +252,6 @@ def assert_same_parse(text: str) -> None:
     for name, value in table_fields(table).items():
         if name == "edges":
             assert value == ref[name]
-        elif value.dtype == object:
-            assert ref[name].dtype == object and value.tolist() == ref[name].tolist()
         else:
             assert value.dtype == ref[name].dtype and value.shape == ref[name].shape
             assert value.tobytes() == ref[name].tobytes()
@@ -266,11 +273,18 @@ ERROR_ORDER_EXAMPLES = [
     {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 1, 1], [1, 2, math.nan]]}]},
     # a label holding a well-typed edge list, with an int probability
     {"num_nodes": 3, "graphs": [{"label": {"edges": [[0, 1, 1], [1, 2, 0.5]]}, "edges": []}]},
-    # a graph of labels past int64, then a graph with an endpoint out of range
-    {"num_nodes": 2**70, "graphs": [
-        {"label": 1, "edges": [[2**64, 0, 0.5]]},
-        {"label": 1, "edges": [[0, 2**70, 0.5]]},
+    # a graph of the largest labels, then a graph with an endpoint one past them
+    {"num_nodes": 2**31, "graphs": [
+        {"label": 1, "edges": [[2**31 - 1, 0, 0.5]]},
+        {"label": 1, "edges": [[0, 2**31, 0.5]]},
     ]},
+    # a valid graph, then a graph with an endpoint past int64, left undecoded
+    {"num_nodes": 2**31, "graphs": [
+        {"label": 1, "edges": [[2**31 - 1, 0, 0.5]]},
+        {"label": 1, "edges": [[0, 2**64, 0.5]]},
+    ]},
+    # one node past the cap
+    {"num_nodes": 2**31 + 1, "graphs": [{"label": 1, "edges": [[0, 1, 0.5]]}]},
     {"num_nodes": 3, "graphs": [], "edges": [[0, 1, 0.5]]},
     # bools and floats where ints or numbers belong, in otherwise valid graphs
     {"num_nodes": 3, "graphs": [{"label": 1, "edges": [[0, 2, 0.5], [True, False, 0.5]]}]},
@@ -299,6 +313,19 @@ ERROR_ORDER_EXAMPLES = [
         {"label": 1, "edges": [[0, True, 0.5]]},
     ]},
 ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(), st.sampled_from([0, 3, 6, 2**31]) | st.integers(0, 2**31))
+def test_undecoded_edge_list_is_refused(entries, num_nodes):
+    """Every nonempty edge list the decoder leaves as a list breaks a rule
+    when num_nodes is at most 2^31, so a valid graph's edges are always
+    decoded into arrays."""
+    text = to_json({"num_nodes": num_nodes, "graphs": [{"label": 1, "edges": entries}]})
+    edges = json.loads(text, object_hook=_decode_edges)["graphs"][0]["edges"]
+    if type(edges) is list and edges:
+        with pytest.raises(ug.DatasetFormatError, match="^graph 0, edge "):
+            ug.parse_dataset(text)
 
 
 @settings(max_examples=400, deadline=None)
@@ -416,6 +443,28 @@ class TestConstructorsMatchParser:
             ug.UncertainGraph(2, {(1, 0): 0.5})
         with pytest.raises(ValueError, match=r"edge \(2, 1\): not ascending"):
             ug.CertainGraph(3, frozenset({(0, 1), (2, 1)}))
+
+    def test_num_nodes_past_the_cap_rejected(self):
+        """Every constructor takes at most 2^31 nodes, so that labels are
+        machine integers; none builds columns for a label past int64."""
+        for make in (
+            lambda n: ug.UncertainGraph(n, {}),
+            lambda n: ug.CertainGraph(n, frozenset()),
+            lambda n: ug.Dataset(n, (), ()),
+        ):
+            assert make(2**31).num_nodes == 2**31
+            with pytest.raises(ValueError, match="^num_nodes must be at most 2147483648, got"):
+                make(2**31 + 1)
+        with pytest.raises(ValueError, match="^num_nodes must be at most"):
+            ug.CertainGraph(2**70 + 1, frozenset({(0, 2**70)}))
+
+    @pytest.mark.parametrize("num_nodes", [-1, True, 2.5, "3"])
+    def test_certain_graph_num_nodes_rejected(self, num_nodes):
+        """``CertainGraph`` takes ``num_nodes`` by the rule ``UncertainGraph`` uses."""
+        for make in (ug.CertainGraph, ug.UncertainGraph):
+            with pytest.raises(ValueError, match="^num_nodes must be a nonnegative integer, got"):
+                make(num_nodes, ())
+        assert type(ug.CertainGraph(np.int64(3), frozenset()).num_nodes) is int
 
     def test_bool_num_nodes_and_id_rejected(self):
         with pytest.raises(ValueError, match="num_nodes"):
@@ -705,10 +754,10 @@ def union_of(ds: ug.Dataset) -> list:
 def test_edge_reads_match_edge_dicts(data):
     """The count pass, the rows read and the listed probabilities equal a
     reference built from the graphs' edge dicts: on datasets built from
-    dicts and parsed, with graphs that have no edges and endpoints past
-    int64, and on subsets given as repeated, unordered and empty index lists.
-    The column past the last table edge reads as an edge no graph holds."""
-    nodes = [0, 1, 2, 3] + data.draw(st.sampled_from([[], [2**64, 2**70]]))
+    dicts and parsed, with graphs that have no edges and the largest
+    endpoints, and on subsets given as repeated, unordered and empty index
+    lists. The column past the last table edge reads as an edge no graph holds."""
+    nodes = [0, 1, 2, 3] + data.draw(st.sampled_from([[], [2**31 - 2, 2**31 - 1]]))
     num_nodes = nodes[-1] + 1
     edge = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda e: e[0] < e[1])
     dicts = data.draw(st.lists(st.dictionaries(edge, st.floats(0.01, 1.0), max_size=5), max_size=5))
@@ -778,8 +827,8 @@ class TestEdgeColumns:
             assert validated.edges == columns.edges
             assert validated.column == columns.column == {e: j for j, e in enumerate(columns.edges)}
 
-    def test_node_labels_past_int64(self):
-        big = 2**70
+    def test_largest_node_labels(self):
+        big = 2**31 - 3
         edges = [(0, big), (1, big), (big, big + 1), (big + 1, big + 2)]
         columns = ug.CertainGraph(big + 3, frozenset(edges)).columns
         assert columns.edges == edges
@@ -897,9 +946,9 @@ def test_integer_probability_written_as_float():
 def test_serialize_matches_reference(data):
     """The table writer gives the bytes of the dict-based writer: on built
     datasets whose graphs list their edges in any order, with float labels,
-    any ids, empty graphs and no graphs, endpoints past int64; on their
+    any ids, empty graphs and no graphs, the largest endpoints; on their
     subsets given as repeated and reordered indices; and on parsed datasets."""
-    nodes = [0, 1, 2, 3] + data.draw(st.sampled_from([[], [2**64, 2**70]]))
+    nodes = [0, 1, 2, 3] + data.draw(st.sampled_from([[], [2**31 - 2, 2**31 - 1]]))
     num_nodes = nodes[-1] + 1
     edge = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda e: e[0] < e[1])
     probability = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([1.0, 0.1, 5e-324])
@@ -979,8 +1028,8 @@ class TestSubgraph:
                     assert columns.incident[n].dtype == js.dtype
                     assert columns.incident[n].tolist() == js.tolist()
 
-    def test_table_with_node_labels_past_int64(self):
-        big = 2**70
+    def test_table_with_largest_node_labels(self):
+        big = 2**31 - 3
         graphs = (
             ug.UncertainGraph(big + 3, {(0, big): 0.5, (big, big + 1): 0.25}),
             ug.UncertainGraph(big + 3, {(1, big): 0.5, (big + 1, big + 2): 0.75}),

@@ -51,6 +51,24 @@ def simple_cfg(t=3, min_sup=0.0, measure=None, score=None, **kw):
     )
 
 
+class TestMiningConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", 2.5), ("t", True), ("max_edges", 1.5), ("max_edges", True), ("min_sup", True)],
+    )
+    def test_names_bad_field(self, field, value):
+        """A fractional or bool count, or a bool min_sup, is refused: ``t=2.5``
+        once never set the threshold, and ``max_edges=1.5`` let 2-edge features through."""
+        with pytest.raises(ValueError, match=f"^{field} must") as info:
+            simple_cfg(**{field: value})
+        assert "\n" not in str(info.value)
+
+    def test_normalizes_counts(self):
+        cfg = simple_cfg(t=np.int64(3), max_edges=np.int32(2))
+        assert type(cfg.t) is int and cfg.t == 3
+        assert type(cfg.max_edges) is int and cfg.max_edges == 2
+
+
 class TestCanonicalParent:
     def test_two_edge_path(self):
         g = ug.Subgraph.from_edges([(0, 1), (1, 2)])

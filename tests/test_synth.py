@@ -99,6 +99,7 @@ class TestGenerate:
         ("n_pos", True),
         ("n_neg", 2.0),
         ("num_nodes", -1),
+        ("num_nodes", 2**31 + 1),
         ("background_edges_per_graph", -1),
         ("background_edges_per_graph", 3.5),
         ("seed", -1),

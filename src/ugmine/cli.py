@@ -1,7 +1,8 @@
 """Command-line interface: mine, oracle-check, gen, featurize, evaluate, stats.
 
-Exit codes: 0 success, 1 runtime/data failure, 2 usage error. Output is
-deterministic given identical flags and inputs.
+Exit codes: 0 success, 1 runtime/data failure, 2 usage error. Flags are
+checked before any input file is read. Output is deterministic given
+identical flags and inputs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .graphs import (
     union_graph,
 )
 from .miner import MiningConfig, MiningResult, mine, mine_exhaustive
-from .oracle import DEFAULT_MAX_WORLDS, WorldCountError, oracle_joint, oracle_measure
+from .oracle import DEFAULT_MAX_WORLDS, WorldCountError, _measure_of_joint, oracle_joint
 from .scores import SCORE_KINDS, ScoreFunction
 from .synth import PRESETS, dataset_stats, make_preset
 
@@ -205,8 +206,8 @@ def _emit(data: str | bytes, out: str | None) -> None:
 
 
 def _run_mine(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args.input)
     cfg = _mining_config(args)
+    dataset = _load_dataset(args.input)
     result = (mine_exhaustive if args.no_prune else mine)(dataset, cfg)
     print(f"{'rank':>4}  {'measure':>14}  {'exp_freq':>10}  edges")
     for i, f in enumerate(result.features):
@@ -260,7 +261,7 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
         bf_joint = oracle_joint(g, dataset, args.max_worlds)
         ok = bool(np.max(np.abs(joint_distribution(pos, neg) - bf_joint)) <= 1e-9)
         dp_m = measure_value(pos, neg, score, measure)
-        bf_m = oracle_measure(g, dataset, measure, score, args.max_worlds)
+        bf_m = _measure_of_joint(bf_joint, measure, score)
         if math.isinf(dp_m) or math.isinf(bf_m):
             ok = ok and dp_m == bf_m
         else:
@@ -291,8 +292,6 @@ def _run_gen(args: argparse.Namespace) -> int:
 
 
 def _load_features(path: str, num_nodes: int) -> list[Subgraph]:
-    if not os.path.isfile(path):
-        raise UsageError(f"features file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         # ValueError covers bad UTF-8, bad JSON and an integer of more digits
         # than int() converts; RecursionError, JSON nested too deep
@@ -327,6 +326,8 @@ def _load_features(path: str, num_nodes: int) -> list[Subgraph]:
 
 
 def _run_featurize(args: argparse.Namespace) -> int:
+    if not os.path.isfile(args.features):
+        raise UsageError(f"features file not found: {args.features}")
     dataset = _load_dataset(args.input)
     features = _load_features(args.features, dataset.num_nodes)
     if not features:
@@ -342,8 +343,8 @@ def _run_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("--train-fraction must lie strictly between 0 and 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    dataset = _load_dataset(args.input)
     cfg = _mining_config(args)
+    dataset = _load_dataset(args.input)
     report = evaluate(
         dataset,
         cfg,

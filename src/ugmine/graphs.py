@@ -237,7 +237,8 @@ class Subgraph:
     """Connected subgraph feature in canonical form.
 
     Canonical form: edges sorted ascending by (u, v) with u < v, no
-    duplicates, nonempty, and the edge-induced node set connected.
+    duplicates, nonempty, and the edge-induced node set connected. Endpoints
+    must be ``int``, as in ``CertainGraph``; a bool is none.
     """
 
     edges: tuple[Edge, ...]
@@ -248,6 +249,9 @@ class Subgraph:
         if list(self.edges) != sorted(set(self.edges)):
             raise ValueError("subgraph edges must be sorted and duplicate-free")
         for u, v in self.edges:
+            # exact type tests: bool subclasses int
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"subgraph edge ({u!r}, {v!r}): endpoints must be integers")
             if not (0 <= u < v):
                 raise ValueError(f"subgraph edge ({u}, {v}) not canonical")
         if not _connected(self.edges):

@@ -4,12 +4,15 @@ Enumerates every deterministic instantiation of an uncertain dataset and
 derives distributions and measures by direct summation. Exponentially slow by
 construction; it exists as ground truth for the dynamic-programming route on
 tiny inputs and is kept deliberately independent of it.
+
+A feature's worlds are walked once, by ``oracle_joint``, which sums their
+probabilities into support-pair cells; ``oracle_measure`` scores each cell of
+that joint rather than each world.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -97,35 +100,53 @@ def enumerate_worlds(dataset: Dataset, max_worlds: int = DEFAULT_MAX_WORLDS) -> 
         yield World(tuple(graphs), p)
 
 
-def _world_supports(g: Subgraph, dataset: Dataset) -> Iterator[tuple[int, int, float]]:
-    """(positive support, negative support, probability) of ``g`` in each world."""
+def oracle_joint(g: Subgraph, dataset: Dataset, max_worlds: int = DEFAULT_MAX_WORLDS) -> np.ndarray:
+    """Joint support-pair law obtained by summing over every world.
+
+    Cell (a, b) is the total probability of the worlds in which ``g`` occurs
+    in a positive and b negative graphs. This is the oracle's one walk over
+    a feature's worlds; ``oracle_measure`` reads its cells.
+    """
+    _check_budget(dataset, max_worlds)
     need = set(g.edges)
     per_graph = []
-    for idx, graph in enumerate(dataset.graphs):
-        is_pos = dataset.labels[idx] == 1
-        entries = []
-        for edges, p in _graph_worlds(graph):
-            cont = need.issubset(edges)
-            entries.append((p, int(cont and is_pos), int(cont and not is_pos)))
-        per_graph.append(entries)
+    for graph, label in zip(dataset.graphs, dataset.labels):
+        found = (1, 0) if label == 1 else (0, 1)
+        per_graph.append(
+            [(p, found if need.issubset(edges) else (0, 0)) for edges, p in _graph_worlds(graph)]
+        )
+    joint = np.zeros((dataset.n_pos + 1, dataset.n_neg + 1))
     for combo in itertools.product(*per_graph):
         p = 1.0
-        a = 0
-        b = 0
-        for gp, da, db in combo:
+        a = b = 0
+        for gp, (da, db) in combo:
             p *= gp
             a += da
             b += db
-        yield a, b, p
-
-
-def oracle_joint(g: Subgraph, dataset: Dataset, max_worlds: int = DEFAULT_MAX_WORLDS) -> np.ndarray:
-    """Joint support-pair law obtained by summing over every world."""
-    _check_budget(dataset, max_worlds)
-    joint = np.zeros((dataset.n_pos + 1, dataset.n_neg + 1))
-    for a, b, p in _world_supports(g, dataset):
         joint[a, b] += p
     return joint
+
+
+def _measure_of_joint(joint: np.ndarray, measure: MeasureSpec, score: ScoreFunction) -> float:
+    """``oracle_measure`` of the feature whose ``oracle_joint`` is ``joint``."""
+    n_pos, n_neg = joint.shape[0] - 1, joint.shape[1] - 1
+    if n_pos < 1 or n_neg < 1:
+        raise ValueError("both classes must be nonempty")
+    # one score per support pair that some world reaches
+    pairs = [
+        (eval_score(score, a, b, n_pos, n_neg), p)
+        for a, row in enumerate(joint.tolist())
+        for b, p in enumerate(row)
+        if p > 0.0
+    ]
+    # Expectation and phi-probability consume the raw cells, median and mode
+    # the grouped atoms -- mirroring the dynamic-programming route.
+    if measure.kind == EXPECTATION:
+        return exp_of_pairs(pairs)
+    if measure.kind == PHI_PROBABILITY:
+        assert measure.phi is not None
+        return phi_pr_of_pairs(pairs, measure.phi)
+    return measure_from_distribution(distribution_from_pairs(pairs), measure)
 
 
 def oracle_measure(
@@ -135,29 +156,11 @@ def oracle_measure(
     score: ScoreFunction,
     max_worlds: int = DEFAULT_MAX_WORLDS,
 ) -> float:
-    """Measure of the world-level score multiset, summed world by world.
+    """Measure of the world-level score multiset, read off ``oracle_joint``.
 
+    Every world in cell (a, b) of the joint scores the same, so the score is
+    evaluated once per cell and weighted by the cell's summed probability.
     Uses the same grouping, tie, and fallback conventions as the
     dynamic-programming route; only the distribution construction differs.
     """
-    _check_budget(dataset, max_worlds)
-    n_pos = dataset.n_pos
-    n_neg = dataset.n_neg
-    if n_pos < 1 or n_neg < 1:
-        raise ValueError("both classes must be nonempty")
-    memo: dict[tuple[int, int], float] = {}
-    pairs = []
-    for a, b, p in _world_supports(g, dataset):
-        s = memo.get((a, b))
-        if s is None:
-            s = eval_score(score, a, b, n_pos, n_neg)
-            memo[(a, b)] = s
-        pairs.append((s, p))
-    # Expectation and phi-probability consume the raw world pairs, median and
-    # mode the grouped atoms -- mirroring the dynamic-programming route.
-    if measure.kind == EXPECTATION:
-        return exp_of_pairs(pairs)
-    if measure.kind == PHI_PROBABILITY:
-        assert measure.phi is not None
-        return phi_pr_of_pairs(pairs, measure.phi)
-    return measure_from_distribution(distribution_from_pairs(pairs), measure)
+    return _measure_of_joint(oracle_joint(g, dataset, max_worlds), measure, score)

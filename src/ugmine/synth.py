@@ -24,7 +24,15 @@ from .graphs import (
     _table_dataset,
 )
 
-PRESETS = ("fig2", "adhd-like", "adni-like", "hiv-like")
+# each random preset's n_pos, n_neg, num_nodes, background_edges_per_graph
+# and background_prob_range, in SynthConfig's field order
+_SHAPES = {
+    "adhd-like": (100, 100, 116, 485, (0.25, 0.85)),
+    "adni-like": (18, 18, 90, 2020, (0.29, 0.89)),
+    "hiv-like": (25, 25, 90, 480, (0.78, 0.98)),
+}
+
+PRESETS = ("fig2", *_SHAPES)
 
 _DEFAULT_PLANTED = Subgraph(((0, 1), (1, 2), (2, 3)))
 
@@ -123,42 +131,11 @@ def preset_config(
     planted_prob_neg: float = 0.1,
 ) -> SynthConfig:
     """Random-generator config for a named preset (fig2 is fixed, not random)."""
+    if name not in _SHAPES:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
     if planted is None:
         planted = _DEFAULT_PLANTED
-    base = dict(
-        seed=seed,
-        planted=planted,
-        planted_prob_pos=planted_prob_pos,
-        planted_prob_neg=planted_prob_neg,
-    )
-    if name == "adhd-like":
-        return SynthConfig(
-            n_pos=100,
-            n_neg=100,
-            num_nodes=116,
-            background_edges_per_graph=485,
-            background_prob_range=(0.25, 0.85),
-            **base,
-        )
-    if name == "adni-like":
-        return SynthConfig(
-            n_pos=18,
-            n_neg=18,
-            num_nodes=90,
-            background_edges_per_graph=2020,
-            background_prob_range=(0.29, 0.89),
-            **base,
-        )
-    if name == "hiv-like":
-        return SynthConfig(
-            n_pos=25,
-            n_neg=25,
-            num_nodes=90,
-            background_edges_per_graph=480,
-            background_prob_range=(0.78, 0.98),
-            **base,
-        )
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
+    return SynthConfig(seed, *_SHAPES[name], planted, planted_prob_pos, planted_prob_neg)
 
 
 def make_preset(name: str, seed: int = 0, **overrides) -> Dataset:

@@ -2,9 +2,12 @@
 
 The enumeration helpers here are deliberately written without reusing library
 internals (own connectivity check, own subset walk) so they can serve as
-independent references for the miner and the distribution code. The one
-exception, ``eager_search``, reuses the measure kernel so that its values
+independent references for the miner and the distribution code. Two
+exceptions: ``eager_search`` reuses the measure kernel so that its values
 equal the miner's bit for bit; its traversal and bookkeeping are its own.
+``reference_oracle_measure``, the oracle's measure as it was when it scored
+world by world, reuses the oracle's per-graph worlds and the measure helpers,
+so that it differs from ``oracle_measure`` only in walking worlds, not cells.
 """
 
 from __future__ import annotations
@@ -31,7 +34,19 @@ from ugmine import (
     score_grid,
     union_graph,
 )
-from ugmine.distribution import _batched_support, _MeasureGrids
+from ugmine.distribution import (
+    EXPECTATION,
+    PHI_PROBABILITY,
+    MeasureSpec,
+    _batched_support,
+    _MeasureGrids,
+    distribution_from_pairs,
+    exp_of_pairs,
+    measure_from_distribution,
+    phi_pr_of_pairs,
+)
+from ugmine.oracle import DEFAULT_MAX_WORLDS, _check_budget, _graph_worlds
+from ugmine.scores import ScoreFunction, eval_score
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -384,3 +399,61 @@ def reference_serialize(dataset: Dataset) -> bytes:
     lines.append(" ]")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_world_supports(g: Subgraph, dataset: Dataset):
+    """(positive support, negative support, probability) of ``g`` in each world."""
+    need = set(g.edges)
+    per_graph = []
+    for idx, graph in enumerate(dataset.graphs):
+        is_pos = dataset.labels[idx] == 1
+        entries = []
+        for edges, p in _graph_worlds(graph):
+            cont = need.issubset(edges)
+            entries.append((p, int(cont and is_pos), int(cont and not is_pos)))
+        per_graph.append(entries)
+    for combo in itertools.product(*per_graph):
+        p = 1.0
+        a = 0
+        b = 0
+        for gp, da, db in combo:
+            p *= gp
+            a += da
+            b += db
+        yield a, b, p
+
+
+def reference_oracle_measure(
+    g: Subgraph,
+    dataset: Dataset,
+    measure: MeasureSpec,
+    score: ScoreFunction,
+    max_worlds: int = DEFAULT_MAX_WORLDS,
+) -> float:
+    """Measure of the world-level score multiset, summed world by world.
+
+    The oracle's measure before it was read off the joint: every world is
+    walked and scored (scores memoized per support pair), and the measure
+    taken over the raw (score, world probability) pairs.
+    """
+    _check_budget(dataset, max_worlds)
+    n_pos = dataset.n_pos
+    n_neg = dataset.n_neg
+    if n_pos < 1 or n_neg < 1:
+        raise ValueError("both classes must be nonempty")
+    memo: dict[tuple[int, int], float] = {}
+    pairs = []
+    for a, b, p in _reference_world_supports(g, dataset):
+        s = memo.get((a, b))
+        if s is None:
+            s = eval_score(score, a, b, n_pos, n_neg)
+            memo[(a, b)] = s
+        pairs.append((s, p))
+    # Expectation and phi-probability consume the raw world pairs, median and
+    # mode the grouped atoms -- mirroring the dynamic-programming route.
+    if measure.kind == EXPECTATION:
+        return exp_of_pairs(pairs)
+    if measure.kind == PHI_PROBABILITY:
+        assert measure.phi is not None
+        return phi_pr_of_pairs(pairs, measure.phi)
+    return measure_from_distribution(distribution_from_pairs(pairs), measure)

@@ -130,11 +130,27 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "flag, value", [("--top", "0"), ("--min-sup", "2"), ("--max-edges", "0")]
     )
-    def test_out_of_range_flag(self, capsys, fig2_file, command, flag, value):
-        code, out, err = run(capsys, command, "--input", fig2_file, flag, value)
+    def test_out_of_range_flag(self, capsys, fig2_file, tmp_path, command, flag, value):
+        """Flags are checked before --input is read: with a malformed input
+        too, the run is still a usage error about the flag."""
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"num_nodes": 3, "graphs": {}}')
+        for path in (fig2_file, str(bad)):
+            code, out, err = run(capsys, command, "--input", path, flag, value)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and flag in err
+
+    def test_featurize_missing_features_before_malformed_input(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"num_nodes": 3, "graphs": {}}')
+        missing = tmp_path / "nope.json"
+        code, out, err = run(
+            capsys, "featurize", "--input", str(bad), "--features", str(missing)
+        )
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and flag in err
+        assert err == f"error: features file not found: {missing}\n"
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -282,6 +298,21 @@ class TestOracleCheck:
         code, out, _ = run(capsys, "oracle-check", "--input", fig2_file, "--seed", "-1")
         assert code == 0
         assert out == "100/100 matched\n"
+
+    def test_walks_each_trials_worlds_once(self, capsys, fig2_file, monkeypatch):
+        """Each trial lists every graph's worlds once: the measure is read
+        off the trial's joint, not walked again."""
+        calls = []
+        real = ug.oracle._graph_worlds
+
+        def spy(graph):
+            calls.append(graph.edges)
+            return real(graph)
+
+        monkeypatch.setattr(ug.oracle, "_graph_worlds", spy)
+        code, out, _ = run(capsys, "oracle-check", "--input", fig2_file, "--trials", "5")
+        assert (code, out) == (0, "5/5 matched\n")
+        assert calls == [g.edges for g in ug.fig2_dataset().graphs] * 5
 
     def test_budget_exceeded(self, capsys, fig2_file):
         code, _, err = run(

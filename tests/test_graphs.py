@@ -1013,6 +1013,16 @@ class TestSubgraph:
         g = ug.Subgraph.from_edges([(0, 1), (1, 2)])
         assert g.nodes == frozenset({0, 1, 2})
 
+    @pytest.mark.parametrize(
+        "edges", [((0, True),), ((False, 1),), ((0, 1.0),), ((0, 1), (1, np.int64(2)))]
+    )
+    def test_endpoints_not_int_rejected(self, edges):
+        """The exact-``int`` rule of the graph constructors."""
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            ug.Subgraph(edges)
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            ug.Subgraph.from_edges(edges)
+
     def test_array_built_equals_tuple_built(self):
         """The union's columns, built from the table's endpoint array, equal
         columns built from the edge tuples."""

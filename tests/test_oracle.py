@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ugmine as ug
-from conftest import make_random_dataset
+from conftest import all_pairs, make_random_dataset, reference_oracle_measure
 
 
 class TestEnumerateWorlds:
@@ -115,3 +117,54 @@ class TestOracleMeasure:
                     assert got == want
                 else:
                     assert got == pytest.approx(want, abs=1e-9)
+
+
+K4 = ug.CertainGraph(4, frozenset(all_pairs(4)))
+PROBABILITIES = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 1.0))
+
+
+@st.composite
+def small_cases(draw):
+    """A dataset of both classes and at most 2^12 worlds on 4 nodes, with a
+    connected feature on those nodes (which need not occur in any graph)."""
+    n_graphs = draw(st.integers(2, 6))
+    left = 12  # edges, hence at most 2^12 worlds
+    graphs = []
+    for _ in range(n_graphs):
+        edges = draw(st.lists(st.sampled_from(K4.columns.edges), max_size=left, unique=True))
+        left -= len(edges)
+        graphs.append(ug.UncertainGraph(4, {e: draw(PROBABILITIES) for e in edges}))
+    more = st.lists(st.sampled_from([1, -1]), min_size=n_graphs - 2, max_size=n_graphs - 2)
+    labels = (1, -1, *draw(more))
+    sub = {draw(st.sampled_from(K4.columns.edges))}
+    for _ in range(draw(st.integers(0, 2))):
+        sub.add(draw(st.sampled_from(K4.extensions(sub))))
+    return ug.Dataset(4, tuple(graphs), labels), ug.Subgraph.from_edges(sub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_cases(),
+    st.sampled_from([0.0, 0.01, 0.5]),
+    st.sampled_from([-math.inf, 0.0, 0.03, 0.5, 1.0, 200.0]),
+)
+def test_measure_matches_world_by_world(case, cap, phi):
+    """Read off the joint, every measure of every score equals the one the
+    oracle took world by world: median and mode exactly, expectation and
+    phi-probability to 1e-12 relative, infinities alike."""
+    ds, feature = case
+    assert ug.world_count(ds) <= 2**12
+    for kind in ug.SCORE_KINDS:
+        score = ug.ScoreFunction(kind, cap)
+        for measure in (
+            ug.MeasureSpec("exp"),
+            ug.MeasureSpec("median"),
+            ug.MeasureSpec("mode"),
+            ug.MeasureSpec("phi-pr", phi=phi),
+        ):
+            got = ug.oracle_measure(feature, ds, measure, score)
+            want = reference_oracle_measure(feature, ds, measure, score)
+            if measure.kind in ("median", "mode") or math.isinf(want):
+                assert got == want
+            else:
+                assert math.isclose(got, want, rel_tol=1e-12), (got, want)

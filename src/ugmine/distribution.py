@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,8 +57,9 @@ class MeasureSpec:
             raise ValueError(f"unknown measure kind {self.kind!r}; expected one of {MEASURE_KINDS}")
         if self.kind == PHI_PROBABILITY and self.phi is None:
             raise ValueError("phi threshold required for the phi-probability measure")
-        if self.phi is not None and math.isnan(self.phi):  # an infinite phi is valid
-            raise ValueError("phi threshold must not be NaN")
+        # an infinite phi is valid
+        if self.phi is not None and not (isinstance(self.phi, Real) and not math.isnan(self.phi)):
+            raise ValueError(f"phi threshold must be a number, not NaN, got {self.phi!r}")
         if self.kind != PHI_PROBABILITY and self.phi is not None:
             raise ValueError(f"phi threshold only applies to phi-probability, not {self.kind!r}")
 

@@ -10,9 +10,10 @@ what mining, evaluation, featurizing and ``serialize_dataset`` read.
 ``parse_dataset`` decodes each graph's edge list straight into arrays, and
 ``synth.generate`` draws its graphs as arrays; both hand them to one builder
 (``_table_dataset``), which checks every entry at once and fills the table.
-``_edge_fault`` holds the same rules for one edge; the constructors use it,
-and the parser words its errors with it. A graph the builder returns holds
-no edge dict until its ``edges`` is first read (by the oracle or by
+The builder alone finds a bad entry; ``_check_edges`` words the error of the
+lowest bad graph, as listed, with ``_edge_fault``, the rules for one edge
+that the constructors use too. A graph the builder returns holds no edge
+dict until its ``edges`` is first read (by the oracle or by
 ``containment_probability``). Other modules read the table only through
 this module's functions of a dataset.
 
@@ -644,14 +645,6 @@ def union_graph(dataset: Dataset, counts: np.ndarray | None = None) -> CertainGr
     return CertainGraph._trusted(dataset.num_nodes, edges, table.ends[union])
 
 
-class _BadGraph(ValueError):
-    """``_table_dataset``'s error: graph ``graph`` breaks an edge rule."""
-
-    def __init__(self, graph: int, why: str) -> None:
-        super().__init__(f"graph {graph}: {why}")
-        self.graph = graph
-
-
 def _table_dataset(
     num_nodes: int,
     us: np.ndarray,
@@ -667,7 +660,9 @@ def _table_dataset(
 
     ``_edge_fault``'s rules, run once over every entry: with lo < hi the
     ordered endpoints, 0 <= lo, hi < num_nodes, p in (0, 1], and no edge
-    twice in a graph. ``_BadGraph`` names the lowest graph that breaks one.
+    twice in a graph. This is the only place that finds a bad entry: the
+    lowest graph that breaks a rule goes, as listed, to ``_check_edges``,
+    which raises its ``DatasetFormatError``.
     """
     lo, hi = us, vs
     if (us > vs).any():  # order copies, so that the caller's arrays keep the listing
@@ -682,16 +677,13 @@ def _table_dataset(
     table = _EdgeTable(lo[:stop], hi[:stop], probs[:stop], sizes[:count])
     keys = np.sort(table._entry_keys())
     twice = np.flatnonzero(keys[1:] == keys[:-1])
-    if len(twice):
-        graph, col = divmod(int(keys[twice[0]]), len(table.edges))
-        raise _BadGraph(graph, f"edge {table.edges[col]} listed twice")
-    if len(bad):
-        k = bad[0]
-        if 0 <= lo[k] < hi[k] < num_nodes:
-            why = f"has probability {float(probs[k])!r} out of range (0, 1]"
-        else:
-            why = f"not canonical for {num_nodes} nodes"
-        raise _BadGraph(count, f"edge ({us[k]}, {vs[k]}) {why}")
+    if len(twice) or len(bad):
+        # the lowest bad graph: one that lists an edge twice, else that of the first bad entry
+        graph = int(keys[twice[0]]) // len(table.edges) if len(twice) else count
+        at = slice(int(np.sum(sizes[:graph])), int(np.sum(sizes[: graph + 1])))
+        entries = zip(us[at].tolist(), vs[at].tolist(), probs[at].tolist())
+        _check_edges(graph, list(map(list, entries)), num_nodes)
+        raise AssertionError(f"graph {graph}: the entry-by-entry rules found no fault")
     graphs = tuple(UncertainGraph._row_of(num_nodes, table, r) for r in range(len(sizes)))
     dataset = Dataset(num_nodes, graphs, tuple(labels), tuple(ids))
     dataset.__dict__["_edge_table"] = (table, np.arange(len(graphs)))
@@ -702,8 +694,10 @@ class _EdgeList:
     """A graph's ``edges`` as decoded: a list of well-typed [u, v, p] entries,
     held as arrays of their endpoints and probabilities.
 
-    ``raw_ps`` keeps the decoded probabilities when some are ints, so that
-    ``entries`` gives back the very list the JSON text held.
+    An object that is no graph (a bad label, say) may hold an ``edges`` key
+    too, and an error echoes it as decoded: ``raw_ps`` keeps the decoded
+    probabilities when some are ints, so that the repr is the very list the
+    JSON text held.
     """
 
     __slots__ = ("us", "vs", "ps", "raw_ps")
@@ -711,13 +705,9 @@ class _EdgeList:
     def __init__(self, us: np.ndarray, vs: np.ndarray, ps: np.ndarray, raw_ps) -> None:
         self.us, self.vs, self.ps, self.raw_ps = us, vs, ps, raw_ps
 
-    def entries(self) -> list[list]:
-        """The decoded list of [u, v, p] entries."""
-        ps = self.ps.tolist() if self.raw_ps is None else self.raw_ps
-        return [list(e) for e in zip(self.us.tolist(), self.vs.tolist(), ps)]
-
     def __repr__(self) -> str:
-        return repr(self.entries())
+        ps = self.ps.tolist() if self.raw_ps is None else self.raw_ps
+        return repr([list(e) for e in zip(self.us.tolist(), self.vs.tolist(), ps)])
 
 
 _DECODED_TYPES = (np.intp, np.intp, np.float64)
@@ -770,8 +760,9 @@ def parse_dataset(text: bytes | str) -> Dataset:
     Every valid graph's edge list was decoded into arrays, and goes to the
     builder, ``_table_dataset``, as decoded; a nonempty list left undecoded
     fails ``_check_edges`` as it is read. The error is the first bad graph's:
-    ``_check_edges`` rechecks the graph the builder names, as listed, for its
-    message, and the graphs before graph i when reading graph i fails.
+    when reading graph i fails, the graphs before it still go to the builder,
+    whose error, of an earlier graph, is raised before graph i's. No graph
+    is checked entry by entry but the one that breaks a rule.
     """
     # ValueError covers bad UTF-8, bad JSON and an integer of more digits than
     # int() converts; RecursionError, JSON nested too deep
@@ -797,6 +788,7 @@ def parse_dataset(text: bytes | str) -> Dataset:
     parts = [no_edges]
     labels: list[int] = []
     ids: list[str] = []
+    error = None
     for i in range(len(raw_graphs)):
         # drop each raw entry once read, so its arrays are freed once copied
         item, raw_graphs[i] = raw_graphs[i], None
@@ -819,22 +811,19 @@ def parse_dataset(text: bytes | str) -> Dataset:
                 raise AssertionError(f"graph {i}: an undecoded edge list broke no rule")
             else:
                 part = no_edges
-        except DatasetFormatError:  # a bad graph before graph i raises its error first
-            for k, arrays in enumerate(parts[1:]):
-                _check_edges(k, _EdgeList(*arrays, None).entries(), num_nodes)
-            raise
+        except DatasetFormatError as exc:  # raised after any error of the graphs before
+            error = exc
+            break
         parts.append(part)
         labels.append(label)
         ids.append(gid)
     us, vs, probs = map(np.concatenate, zip(*parts))
     sizes = [len(part[0]) for part in parts[1:]]
     del parts
-    try:
-        return _table_dataset(num_nodes, us, vs, probs, sizes, labels, ids)
-    except _BadGraph as exc:  # the entry-by-entry check words the error
-        at = slice(sum(sizes[: exc.graph]), sum(sizes[: exc.graph + 1]))
-        _check_edges(exc.graph, _EdgeList(us[at], vs[at], probs[at], None).entries(), num_nodes)
-        raise  # not reached: the scalar rules fail where the vectorized ones do
+    dataset = _table_dataset(num_nodes, us, vs, probs, sizes, labels, ids)
+    if error is not None:
+        raise error
+    return dataset
 
 
 def serialize_dataset(dataset: Dataset) -> bytes:

@@ -86,6 +86,7 @@ from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -124,8 +125,13 @@ class MiningConfig:
         object.__setattr__(self, "t", _nonnegative_int(self.t, "t"))
         if self.t < 1:
             raise ValueError("t must be >= 1")
-        if isinstance(self.min_sup, bool) or not (0.0 <= self.min_sup <= 1.0):
-            raise ValueError(f"min_sup must be a number in [0, 1], got {self.min_sup!r}")
+        min_sup = self.min_sup
+        if isinstance(min_sup, bool) or not isinstance(min_sup, Real) or not 0.0 <= min_sup <= 1.0:
+            raise ValueError(f"min_sup must be a number in [0, 1], got {min_sup!r}")
+        if not isinstance(self.measure, MeasureSpec):
+            raise ValueError(f"measure must be a MeasureSpec, got {self.measure!r}")
+        if not isinstance(self.score, ScoreFunction):
+            raise ValueError(f"score must be a ScoreFunction, got {self.score!r}")
         if self.max_edges is not None:
             object.__setattr__(self, "max_edges", _nonnegative_int(self.max_edges, "max_edges"))
             if self.max_edges < 1:

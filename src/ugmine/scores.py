@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class ScoreFunction:
         if self.kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.kind!r}; expected one of {SCORE_KINDS}")
         # NaN fails the comparison; an infinite epsilon would clamp every score to 0
-        if not 0.0 <= self.cap_epsilon < math.inf:
+        if not (isinstance(self.cap_epsilon, Real) and 0.0 <= self.cap_epsilon < math.inf):
             raise ValueError("cap_epsilon must be finite and >= 0")
 
     @property

@@ -129,6 +129,10 @@ class TestMeasures:
             spec = ug.MeasureSpec("phi-pr", phi)
             assert ug.measure_from_distribution(dist, spec) == pytest.approx(value, abs=1e-15)
 
+    def test_phi_must_be_a_number(self):
+        with pytest.raises(ValueError, match="^phi threshold must be a number, not NaN, got '1'$"):
+            ug.MeasureSpec("phi-pr", phi="1")
+
     def test_exp_single_cell(self):
         # all mass on the support pair (1, 0)
         exp = ug.MeasureSpec("exp")

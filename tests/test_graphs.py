@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -235,17 +236,17 @@ def table_fields(table) -> dict[str, object]:
     return {k: getattr(table, k) for k in ("edges", "ends", "offsets", "cols", "probs")}
 
 
-def assert_same_parse(text: str) -> None:
-    """``parse_dataset`` returns the dataset ``reference_parse`` returns, with
+def assert_same_parse(text: str, parse=ug.parse_dataset) -> None:
+    """``parse(text)`` returns the dataset ``reference_parse`` returns, with
     the same edge table, or raises the same message."""
     try:
         want = reference_parse(text)
     except ug.DatasetFormatError as exc:
         with pytest.raises(ug.DatasetFormatError) as got:
-            ug.parse_dataset(text)
+            parse(text)
         assert str(got.value) == str(exc)
         return
-    got = ug.parse_dataset(text)
+    got = parse(text)
     table, rows = got._edge_table
     assert rows.tolist() == list(range(len(want)))
     ref = reference_table(want.graphs)
@@ -338,6 +339,81 @@ def test_parse_matches_reference(value):
 
 for value in ERROR_ORDER_EXAMPLES:
     test_parse_matches_reference = example(value)(test_parse_matches_reference)
+
+
+def test_no_good_graph_checked_entry_by_entry(monkeypatch):
+    """Only a graph that breaks a rule is checked entry by entry: every
+    ``_check_edges`` call raises, also when 50 valid graphs precede a bad label."""
+    check, calls, returned = graphs._check_edges, [], []
+
+    def spy(i, raw_edges, num_nodes):
+        calls.append(i)
+        check(i, raw_edges, num_nodes)
+        returned.append(i)
+
+    monkeypatch.setattr(graphs, "_check_edges", spy)
+    valid = {"label": 1, "edges": [[0, 1, 0.5], [2, 1, 1]]}
+    bad_label = {"num_nodes": 3, "graphs": [valid] * 50 + [{"label": 2, "edges": []}]}
+    for value in ERROR_ORDER_EXAMPLES + [bad_label]:
+        with contextlib.suppress(ug.DatasetFormatError):
+            ug.parse_dataset(to_json(value))
+    assert calls and not returned
+
+
+BAD_PROBABILITIES = [0.0, -0.0, -0.25, 1.0000000000000002, 1.5, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def planted_graphs(draw):
+    """A node count and a few graphs' [u, v, p] entries, empty graphs among
+    them: distinct edges listed either way round over small labels or the
+    largest below the cap, and in one graph of four a planted entry that is
+    out of range, a self-loop, of a probability outside (0, 1] or a duplicate."""
+    nodes = draw(st.sampled_from([[0, 1, 2, 3], [0, 1, 2**31 - 2, 2**31 - 1]]))
+    num_nodes = nodes[-1] + 1
+    pairs = [(u, v) for u in nodes for v in nodes if u < v]
+    probability = st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0)
+    graph_list = []
+    for _ in range(draw(st.integers(0, 5))):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=5))
+        entries = [[*draw(st.permutations(e)), draw(probability)] for e in chosen]
+        if draw(st.integers(0, 3)) == 0:
+            u, v = draw(st.permutations(draw(st.sampled_from(pairs))))
+            far = draw(st.sampled_from([-1, num_nodes, num_nodes + 3]))
+            planted = [
+                [*draw(st.permutations([u, far])), draw(probability)],
+                [u, u, draw(probability)],
+                [u, v, draw(st.sampled_from(BAD_PROBABILITIES))],
+            ] + [[*draw(st.permutations(e[:2])), draw(probability)] for e in entries]
+            entries.insert(draw(st.integers(0, len(entries))), draw(st.sampled_from(planted)))
+        graph_list.append(entries)
+    return num_nodes, graph_list
+
+
+@settings(max_examples=400, deadline=None)
+@given(planted_graphs())
+def test_table_dataset_matches_reference(inputs):
+    """The builder finds what the entry-by-entry reference finds: given the
+    entries of a JSON document as arrays, it raises the reference's message
+    for that document, or builds the reference's dataset and edge table."""
+    num_nodes, graph_list = inputs
+    entries = [e for g in graph_list for e in g]
+    us, vs, probs = (
+        np.array([e[k] for e in entries], dtype)
+        for k, dtype in enumerate((np.intp, np.intp, np.float64))
+    )
+    labels = [(-1) ** i for i in range(len(graph_list))]
+    ids = [f"g{i}" for i in range(len(graph_list))]
+    sizes = [len(g) for g in graph_list]
+    document = {
+        "num_nodes": num_nodes,
+        "graphs": [
+            {"id": gid, "label": y, "edges": g} for gid, y, g in zip(ids, labels, graph_list)
+        ],
+    }
+    assert_same_parse(
+        to_json(document), lambda _: _table_dataset(num_nodes, us, vs, probs, sizes, labels, ids)
+    )
 
 
 class TestParseIntoTable:
@@ -881,14 +957,15 @@ class TestTableDataset:
     @pytest.mark.parametrize(
         "lo, hi, probs, match",
         [
-            ([0, -1], [1, 2], [0.5, 0.5], r"graph 2: edge \(-1, 2\) not canonical"),
-            ([0, 2], [1, 2], [0.5, 0.5], r"graph 2: edge \(2, 2\) not canonical"),
-            ([0, 1], [1, 4], [0.5, 0.5], r"graph 2: edge \(1, 4\) not canonical"),
-            ([0, 1], [1, 2], [0.5, 0.0], r"graph 2: edge \(1, 2\) has probability 0.0"),
-            ([0, 1], [1, 2], [1.5, 0.5], r"graph 1: edge \(0, 1\) has probability 1.5"),
-            ([0, 1], [1, 2], [0.5, math.nan], "graph 2: .* probability nan"),
-            ([1, 0, 0], [2, 1, 1], [0.5, 0.5, 0.5], r"graph 2: edge \(0, 1\) listed twice"),
+            ([0, -1], [1, 2], [0.5, 0.5], r"graph 2, edge 0: endpoints \(-1, 2\) outside"),
+            ([0, 2], [1, 2], [0.5, 0.5], r"graph 2, edge 0: self-loop \(2, 2\)"),
+            ([0, 1], [1, 4], [0.5, 0.5], r"graph 2, edge 0: endpoints \(1, 4\) outside"),
+            ([0, 1], [1, 2], [0.5, 0.0], r"graph 2, edge 0: probability 0.0 out of range"),
+            ([0, 1], [1, 2], [1.5, 0.5], r"graph 1, edge 0: probability 1.5 out of range"),
+            ([0, 1], [1, 2], [0.5, math.nan], r"graph 2, edge 0: probability nan out of range"),
+            ([1, 0, 0], [2, 1, 1], [0.5, 0.5, 0.5], r"graph 2, edge 1: duplicate edge \(0, 1\)"),
         ],
+        ids=["negative", "self-loop", "past-n", "p-zero", "p-above-one", "p-nan", "duplicate"],
     )
     def test_bad_entries(self, lo, hi, probs, match):
         """Graph 0 is empty, graph 1 holds the first entry and graph 2 the rest."""
@@ -915,14 +992,21 @@ class TestTableDataset:
     @pytest.mark.parametrize(
         "lo, hi, probs, sizes, match",
         [
-            ([0, 1, 0], [1, 0, 9], [0.5] * 3, [2, 1], r"graph 0: edge \(0, 1\) listed twice"),
-            ([0, 1, 0], [1, 0, 1], [0.5, 0.5, 0.0], [2, 1], r"graph 0: edge \(0, 1\) listed twice"),
+            ([0, 1, 0], [1, 0, 9], [0.5] * 3, [2, 1], r"graph 0, edge 1: duplicate edge \(0, 1\)"),
+            (
+                [0, 1, 0], [1, 0, 1], [0.5, 0.5, 0.0], [2, 1],
+                r"graph 0, edge 1: duplicate edge \(0, 1\)",
+            ),
             (
                 [0, 1, 0], [1, 2, 9], [0.5, 1.5, 0.5], [2, 1],
-                r"graph 0: edge \(1, 2\) has probability 1.5",
+                r"graph 0, edge 1: probability 1.5 out of range",
             ),
-            ([0, 0, 9], [1, 2, 0], [0.5] * 3, [2, 1], r"graph 1: edge \(9, 0\) not canonical"),
-            ([0, 0, 1], [9, 1, 0], [0.5] * 3, [1, 2], r"graph 0: edge \(0, 9\) not canonical"),
+            ([0, 0, 9], [1, 2, 0], [0.5] * 3, [2, 1], r"graph 1, edge 0: endpoints \(9, 0\)"),
+            ([0, 0, 1], [9, 1, 0], [0.5] * 3, [1, 2], r"graph 0, edge 0: endpoints \(0, 9\)"),
+        ],
+        ids=[
+            "duplicate-then-range", "duplicate-then-p", "p-then-range", "range",
+            "range-then-duplicate",
         ],
     )
     def test_lowest_bad_graph_reported(self, lo, hi, probs, sizes, match):

@@ -54,11 +54,16 @@ def simple_cfg(t=3, min_sup=0.0, measure=None, score=None, **kw):
 class TestMiningConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("t", 2.5), ("t", True), ("max_edges", 1.5), ("max_edges", True), ("min_sup", True)],
+        [
+            ("t", 2.5), ("t", True), ("max_edges", 1.5), ("max_edges", True), ("min_sup", True),
+            ("min_sup", "0.2"), ("min_sup", None), ("measure", "exp"), ("score", "conf"),
+        ],
     )
     def test_names_bad_field(self, field, value):
-        """A fractional or bool count, or a bool min_sup, is refused: ``t=2.5``
-        once never set the threshold, and ``max_edges=1.5`` let 2-edge features through."""
+        """A fractional or bool count, a min_sup that is no number or a measure
+        or score of the wrong type is refused: ``t=2.5`` once never set the
+        threshold, ``max_edges=1.5`` let 2-edge features through, ``min_sup="0.2"``
+        raised a TypeError and ``measure="exp"`` failed only inside ``mine``."""
         with pytest.raises(ValueError, match=f"^{field} must") as info:
             simple_cfg(**{field: value})
         assert "\n" not in str(info.value)
@@ -986,11 +991,32 @@ class TestCounts:
 
 
 class TestGoldenDeepRun:
-    """hiv-like seed 0, phi-pr/ratio, min_sup 0.1, max_edges 2, against output
-    recorded before the threshold test and lazy children were introduced."""
+    """Deep runs on gen seed 0 at t = 100, with the CLI's default phi and cap,
+    against recorded output: ``hiv_like_s0_ms01_e2`` (no theta trace) was
+    recorded before the threshold test and lazy children were introduced,
+    the ``deep_*`` files before parse errors were worded by the table builder."""
 
     def test_matches_golden(self):
-        golden = json.loads((DATA_DIR / "hiv_like_s0_ms01_e2.json").read_text())
+        self.check("hiv_like_s0_ms01_e2")
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "deep_hiv_like_phi_pr_ratio",
+            "deep_hiv_like_exp_gtest",
+            "deep_adni_like_exp_hsic",
+            "deep_adni_like_median_hsic",
+            "deep_adni_like_mode_conf",
+            "deep_adhd_like_phi_pr_ratio",
+        ],
+    )
+    def test_deep_run(self, name):
+        self.check(name)
+
+    def check(self, name):
+        """Edges, order, ``exp_freq`` and the three counts exactly, the values
+        and the theta trace (where recorded) within 1e-12."""
+        golden = json.loads((DATA_DIR / f"{name}.json").read_text())
         cfg = ug.MiningConfig(
             t=golden["top"],
             min_sup=golden["min_sup"],
@@ -1012,3 +1038,7 @@ class TestGoldenDeepRun:
         assert [f.exp_freq for f in result.features] == [f["exp_freq"] for f in expected]
         for f, g in zip(result.features, expected):
             assert abs(f.measure_value - g["measure_value"]) <= 1e-12
+        trace = golden.get("theta_trace", stats.theta_trace)
+        assert [i for i, _ in stats.theta_trace] == [i for i, _ in trace]
+        for (_, theta), (_, want) in zip(stats.theta_trace, trace):
+            assert abs(theta - want) <= 1e-12

@@ -75,8 +75,9 @@ class TestEvalScore:
 
     def test_cap_epsilon_must_be_finite_and_nonnegative(self):
         """A NaN epsilon would make every score NaN, an infinite one clamp
-        every score to 0, and a negative one flip the cap's sign."""
-        for eps in (math.nan, math.inf, -math.inf, -0.01):
+        every score to 0, and a negative one flip the cap's sign; one that is
+        no number once raised a TypeError."""
+        for eps in (math.nan, math.inf, -math.inf, -0.01, "0", None):
             with pytest.raises(ValueError, match="cap_epsilon"):
                 ug.ScoreFunction("conf", eps)
         assert spec("conf", 0.0).cap == math.inf
